@@ -9,14 +9,23 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
+from operator import add as _iadd, sub as _isub
 
 from . import linalg
 from .linalg import add, dot, mat_vec, neg, scale, sub, vec
-from .rootsystem import build_root_system, to_simple_root_coords
+from .rootsystem import build_root_system, reflect, to_simple_root_coords
 from .weylorbit import fundamental_weight, orbit, orbit_words
-from .rootsystem import reflect
+
+
+def _vsub(u, v):
+    """Difference of two int vectors of equal length."""
+    return tuple(map(_isub, u, v))
+
+
+def _vadd(u, v):
+    """Sum of two int vectors of equal length."""
+    return tuple(map(_iadd, u, v))
 
 
 class DetectionInconclusive(RuntimeError):
@@ -26,8 +35,12 @@ class DetectionInconclusive(RuntimeError):
 class Configuration:
     """A finite set of distinct rational points of common dimension.
 
-    Affine dimension, barycenter and antipodal symmetry are computed on
-    construction and cached; instances are immutable.
+    ``points`` holds the points as sorted tuples of Fractions.  The
+    integer form is built once on construction: ``den`` is the least
+    common denominator of all coordinates and ``int_points[i]`` is
+    ``den * points[i]`` as a tuple of ints, in the same order.  Affine
+    dimension, barycenter and antipodal symmetry are computed from the
+    integer form and cached; instances are immutable.
     """
 
     def __init__(self, points):
@@ -37,17 +50,27 @@ class Configuration:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points have inconsistent dimensions")
-        if len(set(pts)) != len(pts):
+        den = lcm(*{x.denominator for p in pts for x in p})
+        ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+        if len(set(ints)) != len(ints):
             raise ValueError("configuration points must be distinct")
-        self.points = tuple(sorted(pts))
+        # scaling by den > 0 keeps the lexicographic order
+        pairs = sorted(zip(ints, pts))
+        self.points = tuple(p for _, p in pairs)
+        self.int_points = tuple(q for q, _ in pairs)
+        self.den = den
         self.dim = dim
-        n = Fraction(len(pts))
-        sums = [sum((p[i] for p in pts), Fraction(0)) for i in range(dim)]
-        self.barycenter = tuple(s / n for s in sums)
-        base = self.points[0]
-        self.affine_dimension = linalg.rank([sub(p, base) for p in self.points[1:]])
-        mirrored = {sub(scale(2, self.barycenter), p) for p in self.points}
-        self.antipodal = mirrored == set(self.points)
+        n = len(pts)
+        sums = [sum(col) for col in zip(*ints)]
+        self.barycenter = tuple(Fraction(s, n * den) for s in sums)
+        base = self.int_points[0]
+        self.affine_dimension = linalg.rank(
+            [_vsub(q, base) for q in self.int_points[1:]])
+        # p is mirrored to 2*barycenter - p; times n*den that is 2*sums - n*q
+        scaled = {tuple(n * x for x in q) for q in self.int_points}
+        self.antipodal = all(
+            tuple(2 * s - n * x for s, x in zip(sums, q)) in scaled
+            for q in self.int_points)
 
     def __len__(self):
         return len(self.points)
@@ -60,43 +83,33 @@ def affine_dimension(config):
     return config.affine_dimension
 
 
-def _primitive_direction(v):
-    """Scale a nonzero rational vector to a primitive integer vector,
-    normalized up to sign (first nonzero entry positive)."""
-    mult = lcm(*(f.denominator for f in v)) if len(v) > 1 else v[0].denominator
-    ints = [int(f * mult) for f in v]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+def _directions_from(int_points, i):
+    """Primitive integer directions from point i to each later point.
+
+    The points are sorted, so every later point differs from point i first
+    in a larger coordinate: each direction already has its first nonzero
+    entry positive and needs no sign normalization.
+    """
+    p = int_points[i]
+    out = []
+    for q in int_points[i + 1:]:
+        d = _vsub(q, p)
+        g = gcd(*d)
+        out.append(d if g == 1 else tuple(x // g for x in d))
+    return out
 
 
 def collinear_triple_count(config):
-    """Exact number of unordered collinear triples in the configuration."""
-    pts = config.points
+    """Exact number of unordered collinear triples in the configuration.
+
+    Each triple is counted once, from its smallest point, as a pair of
+    later points in the same direction."""
+    ints = config.int_points
     total = 0
-    for p in pts:
-        dirs = Counter()
-        for q in pts:
-            if q != p:
-                dirs[_primitive_direction(sub(q, p))] += 1
-        total += sum(k * (k - 1) // 2 for k in dirs.values())
-    # every collinear triple is seen once from each of its three points
-    assert total % 3 == 0
-    return total // 3
-
-
-def _collinear(a, b, c):
-    """Exact test: rank of the two difference vectors is at most 1."""
-    u, v = sub(b, a), sub(c, a)
-    for (i, j) in combinations(range(len(u)), 2):
-        if u[i] * v[j] != u[j] * v[i]:
-            return False
-    return True
+    for i in range(len(ints)):
+        for k in Counter(_directions_from(ints, i)).values():
+            total += k * (k - 1) // 2
+    return total
 
 
 def no_three_collinear(config):
@@ -104,10 +117,18 @@ def no_three_collinear(config):
     (False, lexicographically-first witness triple)."""
     if collinear_triple_count(config) == 0:
         return True, None
-    pts = config.points
-    for a, b, c in combinations(pts, 3):
-        if _collinear(a, b, c):
-            return False, (a, b, c)
+    ints = config.int_points
+    for i in range(len(ints)):
+        # (b, c) for every later pair in a common direction; the first
+        # point of each direction is remembered
+        seen, pairs = {}, []
+        for j, d in enumerate(_directions_from(ints, i), start=i + 1):
+            b = seen.setdefault(d, j)
+            if b != j:
+                pairs.append((b, j))
+        if pairs:
+            b, c = min(pairs)
+            return False, (config.points[i], config.points[b], config.points[c])
     raise AssertionError("positive triple count but no witness found")
 
 
@@ -225,17 +246,17 @@ def _difference_counter(points):
     for a in points:
         for b in points:
             if a != b:
-                c[sub(a, b)] += 1
+                c[_vsub(a, b)] += 1
     return c
 
 
 @lru_cache(maxsize=1)
 def _target_data():
-    target = tuple(sorted(vec(p) for p in omega56()))
+    target = tuple(sorted(omega56()))
     diffs = _difference_counter(target)
-    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in target if q != p))
+    sigs = {p: tuple(sorted(diffs[_vsub(p, q)] for q in target if q != p))
             for p in target}
-    return target, diffs, sigs
+    return target, diffs, sigs, collinear_triple_count(omega56_configuration())
 
 
 def _greedy_independent(points, k):
@@ -256,8 +277,12 @@ def detect_e7_config(config, node_cap=10 ** 7):
     provably not of that type.  Raises DetectionInconclusive if the
     backtracking search exceeds ``node_cap`` candidate expansions (never
     observed on genuine instances; the invariant prefilters do the work).
+
+    The search runs on the centred integer points ``s * (p - barycenter)``
+    with ``s = len(config) * config.den``; the assembled matrix is scaled
+    back by ``s``.
     """
-    target, target_diffs, target_sigs = _target_data()
+    target, target_diffs, target_sigs, target_collinear = _target_data()
     target_set = set(target)
     if len(config) != len(target):
         return None
@@ -265,24 +290,30 @@ def detect_e7_config(config, node_cap=10 ** 7):
         return None
     if not config.antipodal:
         return None
-    if collinear_triple_count(config) != collinear_triple_count(
-            omega56_configuration()):
+    if collinear_triple_count(config) != target_collinear:
         return None
 
-    center = config.barycenter
-    pts = tuple(sorted(sub(p, center) for p in config.points))
+    n = len(config)
+    s = n * config.den
+    sums = [sum(col) for col in zip(*config.int_points)]
+    # n*q - sums keeps the sorted order of the integer points
+    pts = tuple(tuple(n * x - t for x, t in zip(q, sums)) for q in config.int_points)
     pts_set = set(pts)
     diffs = _difference_counter(pts)
     if sorted(diffs.values()) != sorted(target_diffs.values()):
         return None
-    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in pts if q != p)) for p in pts}
+    sigs = {p: tuple(sorted(diffs[_vsub(p, q)] for q in pts if q != p)) for p in pts}
     if sorted(sigs.values()) != sorted(target_sigs.values()):
         return None
 
     basis = _greedy_independent(list(pts), 7)
     if basis is None:
         return None
-    coords = [linalg.solve_in_basis(basis, p) for p in pts]
+    # coordinates in the basis: K = (B^T B)^{-1} B^T, shape 7 x d; every
+    # centred point lies in the span of the basis
+    inv = linalg.invert([[dot(bi, bj) for bj in basis] for bi in basis])
+    k_rows = [tuple(dot(r, col) for col in zip(*basis)) for r in inv]
+    coords = [mat_vec(k_rows, p) for p in pts]
 
     nodes = 0
 
@@ -290,7 +321,7 @@ def detect_e7_config(config, node_cap=10 ** 7):
         bnew = basis[len(assigned)]
         for i, qi in enumerate(assigned):
             bi = basis[i]
-            if diffs[sub(bnew, bi)] != target_diffs.get(sub(candidate, qi), 0):
+            if diffs[_vsub(bnew, bi)] != target_diffs.get(_vsub(candidate, qi), 0):
                 return False
         for i, qi in enumerate(assigned):
             bi = basis[i]
@@ -298,12 +329,12 @@ def detect_e7_config(config, node_cap=10 ** 7):
                 if i == j:
                     continue
                 bj = basis[j]
-                probe = add(sub(bnew, bi), bj)
-                image = add(sub(candidate, qi), qj)
+                probe = _vadd(_vsub(bnew, bi), bj)
+                image = _vadd(_vsub(candidate, qi), qj)
                 if (probe in pts_set) != (image in target_set):
                     return False
-            probe = sub(add(bi, bi), bnew)  # reflection of bnew through bi
-            image = sub(add(qi, qi), candidate)
+            probe = _vsub(_vadd(bi, bi), bnew)  # reflection of bnew through bi
+            image = _vsub(_vadd(qi, qi), candidate)
             if (probe in pts_set) != (image in target_set):
                 return False
         return True
@@ -351,28 +382,9 @@ def detect_e7_config(config, node_cap=10 ** 7):
     if images is None:
         return None
 
-    # assemble the explicit matrix: coordinate extraction in the chosen
-    # basis followed by the assigned images
-    d = config.dim
-    bt_b = [[dot(bi, bj) for bj in basis] for bi in basis]
-    inv = linalg.invert(bt_b)
-    # K = (B^T B)^{-1} B^T, shape 7 x d
-    k_rows = []
-    for r in range(7):
-        row = [Fraction(0)] * d
-        for c, b in zip(inv[r], basis):
-            for idx in range(d):
-                row[idx] += c * b[idx]
-        k_rows.append(tuple(row))
-    matrix = []
-    for out_idx in range(7):
-        row = [Fraction(0)] * d
-        for k in range(7):
-            coeff = images[k][out_idx]
-            if coeff:
-                for idx in range(d):
-                    row[idx] += coeff * k_rows[k][idx]
-        matrix.append(tuple(row))
-    matrix = tuple(matrix)
-    translation = neg(mat_vec(matrix, center))
+    # the explicit matrix: coordinates in the basis followed by the
+    # assigned images, times s to act on the unscaled points
+    matrix = tuple(tuple(s * dot(image_col, k_col) for k_col in zip(*k_rows))
+                   for image_col in zip(*images))
+    translation = neg(mat_vec(matrix, config.barycenter))
     return AffineMap(matrix, translation)

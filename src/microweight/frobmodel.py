@@ -10,6 +10,7 @@ involution and the line/difference sets all live here.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from .affgeom import Configuration, detect_e7_config, no_three_collinear
@@ -64,10 +65,18 @@ class EigenSet:
         return tuple(p) in self.elements
 
 
+def _lattice_entry(x):
+    """An integer coordinate; bools, floats and non-integral values are
+    rejected instead of coerced."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise ValueError(f"lattice coordinate {x!r} is not an integer")
+    return int(x)
+
+
 def build_delta(d1_points, d2_points):
     """Product set with scalar exponent 1 on every element."""
-    d1_points = frozenset(tuple(int(x) for x in p) for p in d1_points)
-    d2_points = frozenset(tuple(int(x) for x in p) for p in d2_points)
+    d1_points = frozenset(tuple(map(_lattice_entry, p)) for p in d1_points)
+    d2_points = frozenset(tuple(map(_lattice_entry, p)) for p in d2_points)
     if not d1_points or not d2_points:
         raise StructureError("both factor sets must be nonempty")
     d1 = len(next(iter(d1_points)))

@@ -4,9 +4,16 @@ Vectors are tuples of Fractions, matrices are sequences of row vectors.
 All dimensions in this package stay below ~10, so plain Gaussian
 elimination is entirely adequate; there is deliberately no floating
 point anywhere.
+
+``rank`` is fraction-free: it clears the denominators of each row, then
+eliminates with integer row operations, dividing every new row by the gcd
+of its entries so that the entries stay small.  ``_eliminate`` keeps the
+Fraction elimination that ``solve_in_basis`` and ``invert`` need for
+their exact rational results.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,12 +76,41 @@ def _eliminate(rows):
     return pivots
 
 
+def _integer_row(v):
+    """The row scaled by the least common denominator of its entries."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
 def rank(vectors):
-    """Rank over Q of the span of the given vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors if any(x != 0 for x in v)]
-    if not rows:
-        return 0
-    return len(_eliminate(rows))
+    """Rank over Q of the span of the given vectors, by fraction-free
+    elimination on their integer multiples."""
+    rows = [row for row in map(_integer_row, vectors) if any(row)]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        r += 1
+        a = pivot[c]
+        reduced = []
+        for row in rows:
+            if row is pivot:
+                continue
+            b = row[c]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                if g == 0:
+                    continue  # the row was a multiple of the pivot
+                if g != 1:
+                    row = [x // g for x in row]
+            reduced.append(row)
+        rows = reduced
+        if not rows:
+            break
+    return r
 
 
 def solve_in_basis(basis, target):

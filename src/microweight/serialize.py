@@ -22,8 +22,7 @@ def rat_from_str(s):
 
 def system_to_json(system):
     return {
-        "type": system.type_label if system.type_label.startswith("E")
-        else system.type_label,
+        "type": system.type_label,
         "rank": system.rank,
         "simple_roots": [[rat_to_str(c) for c in r] for r in system.simple_roots],
     }

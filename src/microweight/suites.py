@@ -5,6 +5,7 @@ transcriptions (reflection table rows, reflection images, partition
 profile) or frozen brute-force oracle outputs (see tools/oracle_counts.py).
 """
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -242,9 +243,11 @@ def e7_projection_suite():
     square = minuscule.cube_normal_form("B", 2, 2).points
     delta = frobmodel.build_delta(omega, square)
     oracle = load_oracle_counts()
+    # both checks read one detection run; an exception is not cached
+    projection = functools.cache(lambda: frobmodel.e7_fiber_projection_check(delta))
 
     def check_fibers():
-        verdict, found = frobmodel.e7_fiber_projection_check(delta)
+        verdict, found = projection()
         if not verdict.ok:
             return False, [list(map(str, v)) for v in verdict.violations]
         if len(found) != len(square):
@@ -256,7 +259,7 @@ def e7_projection_suite():
            check_fibers)
 
     def check_bset():
-        _, found = frobmodel.e7_fiber_projection_check(delta)
+        _, found = projection()
         expected = oracle["omega56_distinct_differences"] + 1
         for b2, _mapping, diffs in found:
             if len(diffs) != expected:

@@ -19,6 +19,7 @@ from microweight import (
 from microweight.affgeom import affine_dimension, omega56_configuration
 from microweight.linalg import invert, vec
 from microweight.minuscule import cube_normal_form
+from microweight.suites import collinearity_suite
 from microweight.weylorbit import fundamental_weight
 
 
@@ -70,6 +71,13 @@ def test_no_three_collinear_on_a5_middle_form():
         v = tuple(x - y for x, y in zip(c, a))
         assert any(u[i] * v[j] != u[j] * v[i]
                    for i in range(5) for j in range(5))
+
+
+def test_collinearity_suite_to_rank_10_passes():
+    report = collinearity_suite(10)
+    assert len(report.checks) == 43
+    assert all(c.status == "pass" for c in report.checks)
+    assert "cube-B10-w10" in {c.id for c in report.checks}
 
 
 def test_is_pm1_in_basis():

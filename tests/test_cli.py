@@ -176,6 +176,17 @@ def test_frobmodel_input_errors(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_frobmodel_rejects_non_integer_entries(runner, tmp_path, entry):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"delta1": [[entry], [-1]],
+                                "delta2": [[1, 1], [-1, -1]]}), encoding="utf-8")
+    result = invoke(runner, "--json", "frobmodel", "--input", str(path),
+                    "--op", "lambda-sq")
+    assert result.exit_code == 2
+    assert f"lattice coordinate {entry!r} is not an integer" in result.output
+
+
 def test_json_output_is_deterministic(runner):
     first = invoke(runner, "--json", "verify-lemmas", "--suite", "2.7",
                    "--max-rank", "3")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from microweight import (
@@ -48,6 +50,20 @@ def test_build_delta_product():
         build_delta([], PM1)
     with pytest.raises(StructureError):
         build_delta([(1,), (1, 2)], PM1)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, False, Fraction(1, 2), "3", None])
+def test_build_delta_rejects_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="not an integer"):
+        build_delta([(entry,), (-1,)], PM1)
+    with pytest.raises(ValueError, match="not an integer"):
+        build_delta(PM1, [(1, entry), (-1, -1)])
+
+
+def test_build_delta_accepts_integral_fractions():
+    delta = build_delta([(Fraction(4, 2),), (Fraction(-2),)], PM1)
+    assert delta.factor1 == {(2,), (-2,)}
+    assert all(type(x) is int for p in delta.support() for x in p)
 
 
 def test_degenerate_second_factor():

@@ -1,0 +1,123 @@
+"""The integer-lattice kernels of affgeom and linalg against plain Fraction
+oracles written here, sharing no code with the library.
+
+Configurations are random rational point sets in dimensions 1-4, with
+negative numerators and denominators, planted collinear triples and
+planted antipodal symmetry.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from microweight import linalg
+from microweight.affgeom import Configuration, collinear_triple_count, no_three_collinear
+
+nonzero = st.integers(-4, 4).filter(bool)
+rationals = st.builds(Fraction, st.integers(-6, 6), nonzero)
+
+
+@st.composite
+def point_sets(draw, max_points=9):
+    """Distinct rational points in a random order.  Some sets get points
+    on lines through two earlier points, some are mirrored through a
+    random center."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[rationals] * dim)
+    pts = draw(st.lists(point, min_size=1, max_size=max_points))
+    hub = min(pts)
+    for _ in range(draw(st.integers(0, 4))):
+        a = hub if draw(st.booleans()) else draw(st.sampled_from(pts))
+        b = draw(st.sampled_from(pts))
+        t = draw(rationals)
+        pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    if draw(st.booleans()):
+        center = draw(point)
+        pts += [tuple(2 * c - x for c, x in zip(center, p)) for p in pts]
+    return draw(st.permutations(sorted(set(pts))))
+
+
+def is_collinear(a, b, c):
+    """Every 2x2 minor of the two difference vectors vanishes."""
+    u = [y - x for x, y in zip(a, b)]
+    v = [z - x for x, z in zip(a, c)]
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+def fraction_rank(rows):
+    """Gaussian elimination over Fraction, pivoting on the first nonzero
+    entry of each column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(max((len(row) for row in m), default=0)):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=200)
+@given(point_sets())
+def test_collinear_triple_count_matches_brute_force(pts):
+    expected = sum(is_collinear(*t) for t in combinations(pts, 3))
+    assert collinear_triple_count(Configuration(pts)) == expected
+
+
+@settings(max_examples=200)
+@given(point_sets())
+# two lines through the smallest point; the later line is completed first
+@example([(0, 0), (1, 0), (1, 1), (2, 2), (3, 0)])
+def test_witness_is_the_first_collinear_triple(pts):
+    pts = [tuple(map(Fraction, p)) for p in pts]
+    first = next((t for t in combinations(sorted(pts), 3) if is_collinear(*t)), None)
+    ok, witness = no_three_collinear(Configuration(pts))
+    assert ok == (first is None)
+    assert witness == first
+
+
+@settings(max_examples=200)
+@given(point_sets())
+def test_configuration_invariants_match_fraction_computations(pts):
+    config = Configuration(pts)
+    n = len(pts)
+    barycenter = tuple(sum(col, Fraction(0)) / n for col in zip(*pts))
+    assert config.barycenter == barycenter
+    base = pts[0]
+    assert config.affine_dimension == fraction_rank(
+        [[x - y for x, y in zip(p, base)] for p in pts])
+    mirrored = {tuple(2 * c - x for c, x in zip(barycenter, p)) for p in pts}
+    assert config.antipodal == (mirrored == set(pts))
+    assert config.points == tuple(sorted(pts))
+    assert all(type(x) is int for q in config.int_points for x in q)
+    assert config.int_points == tuple(tuple(config.den * x for x in p)
+                                      for p in sorted(pts))
+
+
+matrices = st.integers(0, 5).flatmap(
+    lambda cols: st.lists(st.lists(rationals | st.just(Fraction(0)),
+                                   min_size=cols, max_size=cols), max_size=6))
+
+
+@settings(max_examples=300)
+@given(matrices, st.data())
+def test_rank_matches_fraction_elimination(rows, data):
+    if rows and data.draw(st.booleans()):
+        # a planted dependent row and a zero row
+        k = data.draw(rationals)
+        rows = rows + [[k * x + y for x, y in zip(rows[0], rows[-1])],
+                       [Fraction(0)] * len(rows[0])]
+    assert linalg.rank(rows) == fraction_rank(rows)
+
+
+def test_rank_of_empty_and_zero_inputs():
+    assert linalg.rank([]) == fraction_rank([]) == 0
+    assert linalg.rank([()]) == fraction_rank([()]) == 0
+    assert linalg.rank([(0, 0), (Fraction(0), 0)]) == 0
