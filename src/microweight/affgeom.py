@@ -10,22 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add as _iadd, sub as _isub
 
 from . import linalg
 from .linalg import add, dot, mat_vec, neg, scale, sub, vec
 from .rootsystem import build_root_system, reflect, to_simple_root_coords
 from .weylorbit import fundamental_weight, orbit, orbit_words
-
-
-def _vsub(u, v):
-    """Difference of two int vectors of equal length."""
-    return tuple(map(_isub, u, v))
-
-
-def _vadd(u, v):
-    """Sum of two int vectors of equal length."""
-    return tuple(map(_iadd, u, v))
 
 
 class DetectionInconclusive(RuntimeError):
@@ -65,7 +54,7 @@ class Configuration:
         self.barycenter = tuple(Fraction(s, n * den) for s in sums)
         base = self.int_points[0]
         self.affine_dimension = linalg.rank(
-            [_vsub(q, base) for q in self.int_points[1:]])
+            [sub(q, base) for q in self.int_points[1:]])
         # p is mirrored to 2*barycenter - p; times n*den that is 2*sums - n*q
         scaled = {tuple(n * x for x in q) for q in self.int_points}
         self.antipodal = all(
@@ -93,7 +82,7 @@ def _directions_from(int_points, i):
     p = int_points[i]
     out = []
     for q in int_points[i + 1:]:
-        d = _vsub(q, p)
+        d = sub(q, p)
         g = gcd(*d)
         out.append(d if g == 1 else tuple(x // g for x in d))
     return out
@@ -130,6 +119,19 @@ def no_three_collinear(config):
             b, c = min(pairs)
             return False, (config.points[i], config.points[b], config.points[c])
     raise AssertionError("positive triple count but no witness found")
+
+
+def midpoint_triples(points):
+    """Every triple of distinct points (d1, mid, d2) with 2*mid = d1 + d2,
+    in sorted (d1, mid) order; (d2, mid, d1) is listed as well."""
+    members = sorted(set(map(tuple, points)))
+    member_set = set(members)
+    for d1 in members:
+        for mid in members:
+            if mid != d1:
+                d2 = sub(add(mid, mid), d1)
+                if d2 in member_set:
+                    yield d1, mid, d2
 
 
 def is_pm1_in_basis(config, basis, origin):
@@ -246,7 +248,7 @@ def _difference_counter(points):
     for a in points:
         for b in points:
             if a != b:
-                c[_vsub(a, b)] += 1
+                c[sub(a, b)] += 1
     return c
 
 
@@ -254,7 +256,7 @@ def _difference_counter(points):
 def _target_data():
     target = tuple(sorted(omega56()))
     diffs = _difference_counter(target)
-    sigs = {p: tuple(sorted(diffs[_vsub(p, q)] for q in target if q != p))
+    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in target if q != p))
             for p in target}
     return target, diffs, sigs, collinear_triple_count(omega56_configuration())
 
@@ -302,7 +304,7 @@ def detect_e7_config(config, node_cap=10 ** 7):
     diffs = _difference_counter(pts)
     if sorted(diffs.values()) != sorted(target_diffs.values()):
         return None
-    sigs = {p: tuple(sorted(diffs[_vsub(p, q)] for q in pts if q != p)) for p in pts}
+    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in pts if q != p)) for p in pts}
     if sorted(sigs.values()) != sorted(target_sigs.values()):
         return None
 
@@ -321,20 +323,20 @@ def detect_e7_config(config, node_cap=10 ** 7):
         bnew = basis[len(assigned)]
         for i, qi in enumerate(assigned):
             bi = basis[i]
-            if diffs[_vsub(bnew, bi)] != target_diffs.get(_vsub(candidate, qi), 0):
+            if diffs[sub(bnew, bi)] != target_diffs.get(sub(candidate, qi), 0):
                 return False
         for i, qi in enumerate(assigned):
             bi = basis[i]
+            step, image_step = sub(bnew, bi), sub(candidate, qi)
             for j, qj in enumerate(assigned):
                 if i == j:
                     continue
-                bj = basis[j]
-                probe = _vadd(_vsub(bnew, bi), bj)
-                image = _vadd(_vsub(candidate, qi), qj)
+                probe = add(step, basis[j])
+                image = add(image_step, qj)
                 if (probe in pts_set) != (image in target_set):
                     return False
-            probe = _vsub(_vadd(bi, bi), bnew)  # reflection of bnew through bi
-            image = _vsub(_vadd(qi, qi), candidate)
+            probe = sub(bi, step)  # reflection of bnew through bi
+            image = sub(qi, image_step)
             if (probe in pts_set) != (image in target_set):
                 return False
         return True

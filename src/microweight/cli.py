@@ -13,6 +13,7 @@ from . import serialize, suites
 from .rootsystem import RootSystemError
 
 HARD_MAX_RANK_DEFAULT = 10
+CONFIG_KEYS = ("hard_max_rank", "fixture_dir")
 
 
 def _load_config(path):
@@ -29,7 +30,12 @@ def _load_config(path):
                     raise click.UsageError(
                         f"{path}:{lineno}: expected key=value, got {ln!r}")
                 key, _, value = ln.partition("=")
-                cfg[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise click.UsageError(
+                        f"{path}:{lineno}: unknown config key {key!r} "
+                        f"(known keys: {', '.join(CONFIG_KEYS)})")
+                cfg[key] = value.strip()
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
     return cfg
@@ -73,12 +79,9 @@ def main(ctx, as_json, quiet, config_path):
 @click.option("--type", "type_label", required=True,
               type=click.Choice(["A", "B", "C", "D", "E6", "E7"]))
 @click.option("--rank", required=True, type=int)
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def catalog(ctx, type_label, rank, as_json):
+def catalog(ctx, type_label, rank):
     """List the minuscule fundamental weights for one type and rank."""
-    if as_json:
-        ctx.obj["json"] = True
     try:
         report, entries = suites.catalog_suite(type_label, rank)
     except RootSystemError as exc:
@@ -101,13 +104,10 @@ def catalog(ctx, type_label, rank, as_json):
 
 @main.command("verify-e7")
 @click.option("--fixture", "fixture_path", type=click.Path(), default=None)
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def verify_e7(ctx, fixture_path, as_json):
+def verify_e7(ctx, fixture_path):
     """Run the 56-point weight-system suite: orbit size, fixture match,
     reflection table, separating partition."""
-    if as_json:
-        ctx.obj["json"] = True
     if fixture_path is None and ctx.obj["fixture_dir"]:
         candidate = os.path.join(ctx.obj["fixture_dir"], "omega_e7.txt")
         if os.path.exists(candidate):
@@ -123,14 +123,11 @@ def verify_e7(ctx, fixture_path, as_json):
 @click.option("--suite", "suite_id", required=True,
               type=click.Choice(["2.7", "2.8", "4.6"]))
 @click.option("--max-rank", type=int, default=7, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def verify_lemmas(ctx, suite_id, max_rank, as_json):
+def verify_lemmas(ctx, suite_id, max_rank):
     """Run one of the geometry suites: 2.7 = cube-vertex collinearity,
     2.8 = line-triple fiber constancy, 4.6 = fiber projection of detected
     weight-system configurations."""
-    if as_json:
-        ctx.obj["json"] = True
     if max_rank < 2:
         raise click.UsageError("--max-rank must be at least 2")
     if max_rank > ctx.obj["hard_max_rank"]:
@@ -150,12 +147,9 @@ def verify_lemmas(ctx, suite_id, max_rank, as_json):
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--op", required=True,
               type=click.Choice(["lambda-sq", "level-sets", "line-set", "b-set"]))
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_context
-def frobmodel_cmd(ctx, input_path, op, as_json):
+def frobmodel_cmd(ctx, input_path, op):
     """Run one eigenvalue-lattice operation on an eigenset JSON file."""
-    if as_json:
-        ctx.obj["json"] = True
     try:
         delta = serialize.eigenset_from_path(input_path)
     except (OSError, ValueError) as exc:

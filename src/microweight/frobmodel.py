@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .affgeom import Configuration, detect_e7_config, no_three_collinear
+from .affgeom import (Configuration, detect_e7_config, midpoint_triples,
+                      no_three_collinear)
+from .linalg import add, sub
 
 
 class StructureError(ValueError):
@@ -48,15 +50,15 @@ class BlockStructure:
 
 @dataclass
 class EigenSet:
-    """A multiset of lattice points with the declared block structure,
+    """A set of lattice points with the declared block structure,
     together with the factor sets it was built from."""
     structure: BlockStructure
-    elements: Counter
+    elements: frozenset
     factor1: frozenset = field(default_factory=frozenset)
     factor2: frozenset = field(default_factory=frozenset)
 
     def __len__(self):
-        return sum(self.elements.values())
+        return len(self.elements)
 
     def support(self):
         return tuple(sorted(self.elements))
@@ -73,10 +75,18 @@ def _lattice_entry(x):
     return int(x)
 
 
+def _lattice_point(p):
+    """A point as a tuple of integer coordinates; a point that is not a
+    list or tuple is rejected."""
+    if not isinstance(p, (list, tuple)):
+        raise ValueError(f"lattice point {p!r} is not a list of coordinates")
+    return tuple(map(_lattice_entry, p))
+
+
 def build_delta(d1_points, d2_points):
     """Product set with scalar exponent 1 on every element."""
-    d1_points = frozenset(tuple(map(_lattice_entry, p)) for p in d1_points)
-    d2_points = frozenset(tuple(map(_lattice_entry, p)) for p in d2_points)
+    d1_points = frozenset(map(_lattice_point, d1_points))
+    d2_points = frozenset(map(_lattice_point, d2_points))
     if not d1_points or not d2_points:
         raise StructureError("both factor sets must be nonempty")
     d1 = len(next(iter(d1_points)))
@@ -84,7 +94,7 @@ def build_delta(d1_points, d2_points):
     if any(len(p) != d1 for p in d1_points) or any(len(p) != d2 for p in d2_points):
         raise StructureError("factor points have inconsistent dimensions")
     structure = BlockStructure(d1, d2)
-    elements = Counter((1,) + a + b for a, b in product(d1_points, d2_points))
+    elements = frozenset((1,) + a + b for a, b in product(d1_points, d2_points))
     return EigenSet(structure, elements, d1_points, d2_points)
 
 
@@ -94,44 +104,40 @@ def inverse_closed(points):
     return pts == {tuple(-x for x in p) for p in pts}
 
 
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def t_eta_count(delta, eta):
-    """Number of elements d of the multiset (with multiplicity) for which
-    eta - d is again an element."""
+    """Number of elements d for which eta - d is again an element."""
     eta = tuple(eta)
     if len(eta) != delta.structure.total_dim:
         raise StructureError("eta does not match the lattice dimension")
-    return sum(mult for d, mult in delta.elements.items()
-               if _sub(eta, d) in delta.elements)
+    return sum(sub(eta, d) in delta.elements for d in delta.elements)
+
+
+def _pair_sum_counts(delta):
+    """t_eta_count of every pairwise sum eta, from one pass over the
+    ordered pairs: eta - d is an element exactly when (d, eta - d) is a
+    pair summing to eta."""
+    return Counter(add(a, b) for a in delta.elements for b in delta.elements)
 
 
 def sum_set(delta):
     """All pairwise sums of elements (as a set)."""
-    support = delta.support()
-    return {_add(a, b) for a in support for b in support}
+    return set(_pair_sum_counts(delta))
 
 
 def invariant_level_sets(delta):
     """Partition of the pairwise-sum set by the shifted-difference count."""
     levels = {}
-    for eta in sum_set(delta):
-        levels.setdefault(t_eta_count(delta, eta), set()).add(eta)
+    for eta, count in _pair_sum_counts(delta).items():
+        levels.setdefault(count, set()).add(eta)
     return levels
 
 
 def recover_lambda_sq(delta):
     """The unique pairwise sum whose shifted-difference count equals the
-    total multiplicity; equals twice the scalar unit for any product set
+    number of elements; equals twice the scalar unit for any product set
     with negation-closed factors."""
     total = len(delta)
-    hits = [eta for eta in sum_set(delta) if t_eta_count(delta, eta) == total]
+    hits = [eta for eta, count in _pair_sum_counts(delta).items() if count == total]
     if len(hits) != 1:
         raise StructureError(
             f"expected exactly one full-count sum, found {len(hits)}; "
@@ -152,18 +158,8 @@ def weil_involution(delta, x):
 
 def line_set(delta):
     """All ordered triples of distinct elements (d1, mid, d2) with
-    2*mid = d1 + d2, multiplicities ignored."""
-    support = delta.support()
-    members = set(support)
-    out = []
-    for d1 in support:
-        for mid in support:
-            if mid == d1:
-                continue
-            d2 = _sub(tuple(2 * x for x in mid), d1)
-            if d2 != d1 and d2 != mid and d2 in members:
-                out.append((d1, mid, d2))
-    return out
+    2*mid = d1 + d2."""
+    return list(midpoint_triples(delta.elements))
 
 
 def b_set(delta):
@@ -171,8 +167,8 @@ def b_set(delta):
     under negation by construction."""
     out = set()
     for d1, mid, d2 in line_set(delta):
-        out.add(_sub(d1, mid))
-        out.add(_sub(d2, mid))
+        out.add(sub(d1, mid))
+        out.add(sub(d2, mid))
     return out
 
 
@@ -238,7 +234,7 @@ def e7_fiber_projection_check(delta):
         mapping = detect_e7_config(Configuration(pts))
         if mapping is None:
             continue
-        diffs = {(0,) + _sub(a, b) + (0,) * s.d2
+        diffs = {(0,) + sub(a, b) + (0,) * s.d2
                  for a in pts for b in pts}
         for d in diffs:
             if s.scalar(d) != 0 or any(v != 0 for v in s.block2(d)):

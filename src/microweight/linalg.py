@@ -1,9 +1,9 @@
 """Exact rational linear algebra over ``fractions.Fraction``.
 
-Vectors are tuples of Fractions, matrices are sequences of row vectors.
-All dimensions in this package stay below ~10, so plain Gaussian
-elimination is entirely adequate; there is deliberately no floating
-point anywhere.
+Vectors are tuples of ints or Fractions, matrices are sequences of row
+vectors.  All dimensions in this package stay below ~10, so plain Gaussian
+elimination is entirely adequate; there is deliberately no floating point
+anywhere.
 
 ``rank`` is fraction-free: it clears the denominators of each row, then
 eliminates with integer row operations, dividing every new row by the gcd
@@ -12,6 +12,7 @@ Fraction elimination that ``solve_in_basis`` and ``invert`` need for
 their exact rational results.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,11 +30,15 @@ def zero_vec(n):
 
 
 def add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} and {len(v)}")
+    return tuple(map(operator.add, u, v))
 
 
 def sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} and {len(v)}")
+    return tuple(map(operator.sub, u, v))
 
 
 def neg(u):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from .affgeom import midpoint_triples
 from .linalg import scale, sub
 from .rootsystem import RootSystemError, build_root_system, pairing
 from .weylorbit import WeightSet, orbit
@@ -189,14 +190,4 @@ def saturation_progressions(omega, system):
 def collinear_triple(omega):
     """Lexicographically first triple of distinct weights (d1, mid, d2)
     with 2*mid = d1 + d2, or None."""
-    members = sorted(set(omega.support if isinstance(omega, WeightSet)
-                         else map(tuple, omega)))
-    member_set = set(members)
-    for d1 in members:
-        for mid in members:
-            if mid == d1:
-                continue
-            d2 = sub(scale(2, mid), d1)
-            if d2 != d1 and d2 != mid and d2 in member_set:
-                return (d1, mid, d2)
-    return None
+    return next(midpoint_triples(omega), None)

@@ -79,16 +79,26 @@ def eigenset_to_json(delta):
 
 
 def eigenset_from_json(obj):
+    """The eigenset of a decoded JSON object; anything but lists of points
+    and integer block dimensions is rejected with a ValueError."""
     try:
         d1_points = obj["delta1"]
         d2_points = obj["delta2"]
         structure = obj.get("structure", {})
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed eigenset JSON: {exc}") from exc
+    for key, points in (("delta1", d1_points), ("delta2", d2_points)):
+        if not isinstance(points, list):
+            raise ValueError(f"{key} must be a list of points")
+    if not isinstance(structure, dict):
+        raise ValueError("structure must be an object with keys d1, d2")
     delta = build_delta(d1_points, d2_points)
     for key in ("d1", "d2"):
-        if key in structure and structure[key] != getattr(delta.structure, key):
-            raise ValueError(f"declared {key}={structure[key]} does not match points")
+        declared = structure.get(key, getattr(delta.structure, key))
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ValueError(f"declared {key}={declared!r} is not an integer")
+        if declared != getattr(delta.structure, key):
+            raise ValueError(f"declared {key}={declared} does not match points")
     return delta
 
 

@@ -67,22 +67,7 @@ def _check_in_weight_lattice(system, w):
 
 def orbit(system, w, cap=ORBIT_CAP):
     """The full Weyl orbit of w as a WeightSet with multiplicity 1 each."""
-    w = tuple(Fraction(c) for c in w)
-    _check_in_weight_lattice(system, w)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for alpha in system.simple_roots:
-                y = reflect(system, alpha, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise OrbitTooLargeError(f"orbit exceeds {cap} elements")
-        frontier = nxt
-    return WeightSet(system, seen)
+    return WeightSet(system, orbit_words(system, w, cap))
 
 
 def orbit_words(system, w, cap=ORBIT_CAP):

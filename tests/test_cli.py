@@ -33,7 +33,7 @@ def test_catalog_text(runner):
 
 
 def test_catalog_json(runner):
-    result = invoke(runner, "catalog", "--type", "D", "--rank", "5", "--json")
+    result = invoke(runner, "--json", "catalog", "--type", "D", "--rank", "5")
     assert result.exit_code == 0
     obj = json.loads(result.output)
     assert obj[0]["weights"] == ["w1", "w4", "w5"]
@@ -120,6 +120,29 @@ def test_config_file_errors(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_config_rejects_unknown_keys(runner, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# ceiling\nfixture_dir = .\nhard_max_rnk=3\n", encoding="utf-8")
+    result = invoke(runner, "--config", str(cfg), "verify-lemmas",
+                    "--suite", "2.7", "--max-rank", "2")
+    assert result.exit_code == 2
+    assert f"{cfg}:3: unknown config key 'hard_max_rnk'" in result.output
+
+
+def test_config_keys_take_effect(runner, tmp_path):
+    (tmp_path / "omega_e7.txt").write_text("1 2 3\n", encoding="utf-8")
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"hard_max_rank = 3\nfixture_dir = {tmp_path}\n", encoding="utf-8")
+    result = invoke(runner, "--config", str(cfg), "verify-lemmas",
+                    "--suite", "2.7", "--max-rank", "4")
+    assert result.exit_code == 2
+    assert "ceiling 3" in result.output
+    # the malformed fixture in fixture_dir is the one verify-e7 reads
+    result = invoke(runner, "--config", str(cfg), "verify-e7")
+    assert result.exit_code == 2
+    assert "line 1" in result.output
+
+
 def write_delta(tmp_path, d1, d2, name="delta.json"):
     obj = serialize.eigenset_to_json(build_delta(d1, d2))
     path = tmp_path / name
@@ -185,6 +208,27 @@ def test_frobmodel_rejects_non_integer_entries(runner, tmp_path, entry):
                     "--op", "lambda-sq")
     assert result.exit_code == 2
     assert f"lattice coordinate {entry!r} is not an integer" in result.output
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"delta1": [1, 2], "delta2": [[1]]}, "lattice point 1 is not a list"),
+    ({"delta1": [[1]], "delta2": [[1]], "structure": ["d1"]}, "structure must be"),
+    ({"delta1": [[1]], "delta2": [[1]], "structure": 5}, "structure must be"),
+    ({"delta1": [[1]], "delta2": [[1]], "structure": {"d1": 1.0}},
+     "declared d1=1.0 is not an integer"),
+    ({"delta1": [[1]], "delta2": [[1]], "structure": {"d2": True}},
+     "declared d2=True is not an integer"),
+    ({"delta1": "11", "delta2": [[1]]}, "delta1 must be a list"),
+    ([[1], [1]], "malformed eigenset JSON"),
+], ids=["point-not-a-list", "structure-list", "structure-int", "d1-float",
+        "d2-bool", "factor-string", "top-level-list"])
+def test_frobmodel_rejects_malformed_eigensets(runner, tmp_path, obj, message):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    result = invoke(runner, "--json", "frobmodel", "--input", str(path),
+                    "--op", "line-set")
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 def test_json_output_is_deterministic(runner):

@@ -7,13 +7,14 @@ planted antipodal symmetry.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microweight import linalg
-from microweight.affgeom import Configuration, collinear_triple_count, no_three_collinear
+from microweight.affgeom import (Configuration, collinear_triple_count,
+                                 midpoint_triples, no_three_collinear)
 
 nonzero = st.integers(-4, 4).filter(bool)
 rationals = st.builds(Fraction, st.integers(-6, 6), nonzero)
@@ -99,6 +100,18 @@ def test_configuration_invariants_match_fraction_computations(pts):
     assert all(type(x) is int for q in config.int_points for x in q)
     assert config.int_points == tuple(tuple(config.den * x for x in p)
                                       for p in sorted(pts))
+
+
+small_int_sets = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=10))
+
+
+@settings(max_examples=200)
+@given(point_sets() | small_int_sets)
+def test_midpoint_triples_match_all_ordered_triples(pts):
+    expected = sorted((a, b, c) for a, b, c in permutations(set(pts), 3)
+                      if all(2 * y == x + z for x, y, z in zip(a, b, c)))
+    assert list(midpoint_triples(pts)) == expected
 
 
 matrices = st.integers(0, 5).flatmap(

@@ -69,3 +69,12 @@ def test_invert_is_an_inverse(n, data):
 def test_is_integral():
     assert linalg.is_integral(linalg.vec([1, -3, 0]))
     assert not linalg.is_integral(linalg.vec([Fraction(1, 2), 1]))
+
+
+@pytest.mark.parametrize("op, expected", [(linalg.add, (4, 6)), (linalg.sub, (-2, -2))])
+def test_add_sub_reject_different_lengths(op, expected):
+    assert op((1, 2), (3, 4)) == expected
+    with pytest.raises(ValueError, match="lengths differ"):
+        op((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="lengths differ"):
+        op((1, 2, 3), (1,))
