@@ -13,7 +13,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .linalg import add, dot, mat_vec, neg, scale, sub, vec
-from .rootsystem import build_root_system, reflect, to_simple_root_coords
+from .rootsystem import (as_fractions, build_root_system, int_points, int_weight,
+                         to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
 
 
@@ -176,9 +177,19 @@ def omega56_configuration():
 
 
 @lru_cache(maxsize=1)
-def _orbit_words_from_top():
+def _top_orbit():
+    """The E7 orbit of omega_7: its words, its sorted support, the support
+    as int tuples at one scale ``den``, and the last-coordinate dual as an
+    ``int_weight`` pair.  The dual is the vector d of the span with
+    (d, alpha_j) equal to 1 for the last simple root and 0 otherwise, so
+    (d, x) is the last simple-root coordinate of any x in the span."""
     system = build_root_system("E7", 7)
-    return orbit_words(system, fundamental_weight(system, 7))
+    words = orbit_words(system, fundamental_weight(system, 7))
+    support = tuple(sorted(words))
+    points, den = int_points(system, support)
+    form = system.int_form
+    dual = int_weight(system, form.dual(system.rank - 1))
+    return words, support, points, den, dual
 
 
 @dataclass(frozen=True)
@@ -191,20 +202,6 @@ class SeparationReport:
         return dot(self.functional, vec(x)) + self.constant
 
 
-def _last_coordinate_dual(system):
-    """Vector d in the span of the simple roots with (d, alpha_j) equal to
-    1 for the last simple root and 0 otherwise, so (d, x) extracts the last
-    simple-root coordinate of any x in the span."""
-    gram = [[dot(ai, aj) for aj in system.simple_roots] for ai in system.simple_roots]
-    rhs = [Fraction(0)] * system.rank
-    rhs[-1] = Fraction(1)
-    t = linalg.solve_square(gram, rhs)
-    d = system.zero()
-    for c, a in zip(t, system.simple_roots):
-        d = add(d, scale(c, a))
-    return d
-
-
 def separation_partition(weights, w):
     """Level counts of the transported top-coordinate functional on the
     56-point weight system.
@@ -214,19 +211,22 @@ def separation_partition(weights, w):
     orbit element it is transported along the reflection word reaching
     that element.  Values are reported on the doubled weight coordinates.
     """
-    system = build_root_system("E7", 7)
-    words = _orbit_words_from_top()
-    if set(weights.support) != set(words):
+    words, support, points, den, (d, d_scale) = _top_orbit()
+    # both supports are sorted, so equal tuples mean equal sets
+    if weights.support != support:
         raise ValueError("weights must be the minuscule E7 weight system")
     w = vec(w)
     if w not in weights:
         raise ValueError(f"{w} is not an element of the weight system")
-    d = _last_coordinate_dual(system)
+    form = build_root_system("E7", 7).int_form
     for i in words[w]:
-        d = reflect(system, system.simple_roots[i], d)
-    functional = scale(2, d)
-    counts = Counter(dot(functional, x) for x in weights.support)
-    return SeparationReport(functional, Fraction(0), dict(counts))
+        d, d_scale = form.reflect(form.simple[i], d, d_scale)
+    # the functional 2d / d_scale takes the value 2 (d.x) / (d_scale * den)
+    counts = Counter(2 * dot(d, x) for x in points)
+    level = d_scale * den
+    functional = as_fractions([[2 * c for c in d]], d_scale)[0]
+    return SeparationReport(functional, Fraction(0),
+                            {Fraction(v, level): n for v, n in counts.items()})
 
 
 # ---------------------------------------------------------------------------

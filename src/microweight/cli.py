@@ -109,9 +109,9 @@ def verify_e7(ctx, fixture_path):
     """Run the 56-point weight-system suite: orbit size, fixture match,
     reflection table, separating partition."""
     if fixture_path is None and ctx.obj["fixture_dir"]:
-        candidate = os.path.join(ctx.obj["fixture_dir"], "omega_e7.txt")
-        if os.path.exists(candidate):
-            fixture_path = candidate
+        fixture_path = os.path.join(ctx.obj["fixture_dir"], "omega_e7.txt")
+        if not os.path.exists(fixture_path):
+            raise click.UsageError(f"fixture error: {fixture_path} does not exist")
     try:
         report = suites.verify_e7_suite(fixture_path)
     except (OSError, ValueError) as exc:

@@ -51,7 +51,11 @@ def scale(c, u):
 
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    """Exact dot product: an int for int vectors, a Fraction as soon as
+    one entry is a Fraction."""
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} and {len(v)}")
+    return sum(map(operator.mul, u, v))
 
 
 def mat_vec(rows, v):

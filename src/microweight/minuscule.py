@@ -9,13 +9,12 @@ run on.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 
 from .affgeom import midpoint_triples
-from .linalg import scale, sub
-from .rootsystem import RootSystemError, build_root_system, pairing
+from .rootsystem import (RootSystemError, build_root_system, exact_weight, int_points,
+                         int_weight)
 from .weylorbit import WeightSet, orbit
 
 
@@ -30,15 +29,22 @@ class MinusculeEntry:
 
 def is_minuscule(system, w):
     """True iff every root pairing of the nonzero lattice weight w is in
-    {-1, 0, 1}."""
-    w = tuple(Fraction(c) for c in w)
-    if all(c == 0 for c in w):
+    {-1, 0, 1}.
+
+    The positive roots are scanned in order: the first pairing that is not
+    an integer raises ValueError, the first one of absolute value above 1
+    returns False.
+    """
+    form = system.int_form
+    x, d = int_weight(system, w)
+    if not any(x):
         raise ValueError("the zero weight is not a candidate minuscule weight")
-    for alpha in system.positive_roots:
-        p = pairing(system, w, alpha)
-        if p.denominator != 1:
+    for entry in form.positive:
+        num, den = form.pairing(entry, x, d)
+        if num % den:
+            w = exact_weight(system, w)
             raise ValueError(f"{w} is not in the weight lattice of {system}")
-        if abs(p) > 1:
+        if abs(num) > den:
             return False
     return True
 
@@ -171,18 +177,26 @@ def saturation_progressions(omega, system):
     stepping away from the weight.  Returns one record per required
     progression with a presence flag.
     """
+    members = sorted(set(omega.support if isinstance(omega, WeightSet)
+                         else map(tuple, omega)))
+    form = system.int_form
+    # the weights and the roots at one scale d
+    points, d = int_points(system, [*members, *system.roots])
+    points, steps = points[:len(members)], points[len(members):]
+    present = set(points)
+    roots = list(zip(system.roots, form.all, steps))
     out = []
-    members = set(omega.support if isinstance(omega, WeightSet) else map(tuple, omega))
-    for lam in sorted(members):
-        for alpha in system.roots:
-            p = pairing(system, lam, alpha)
-            if p == 0:
+    for lam, x in zip(members, points):
+        for alpha, entry, step in roots:
+            num, den = form.pairing(entry, x, d)
+            if not num:
                 continue
-            if p.denominator != 1:
+            m, rem = divmod(num, den)
+            if rem:
                 raise ValueError(f"{lam} is not in the weight lattice")
-            m = int(p)
-            step = alpha if m > 0 else tuple(-c for c in alpha)
-            ok = all(sub(lam, scale(k, step)) in members for k in range(1, abs(m) + 1))
+            sign = 1 if m > 0 else -1
+            ok = all(tuple(a - sign * k * b for a, b in zip(x, step)) in present
+                     for k in range(1, abs(m) + 1))
             out.append(Progression(lam, alpha, abs(m), ok))
     return out
 

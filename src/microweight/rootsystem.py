@@ -2,17 +2,24 @@
 
 Each system is realized in the standard epsilon-coordinates: A_m in
 dimension m+1, B_m/C_m/D_m in dimension m, E6 and E7 inside dimension 8.
-Weights are plain tuples of Fractions in ambient coordinates; conversions
-to and from simple-root coordinates are exact.
+
+Publicly, roots and weights are tuples of Fractions in ambient
+coordinates.  Inputs may hold ints or Fractions; bools, floats and strings
+are rejected with a ValueError instead of being coerced.  Internally the
+arithmetic runs on ints: a weight x is written X / D, with X an int tuple
+and D a multiple of the common denominator ``rd`` of the root coordinates,
+and every root alpha is kept once as the int tuple rd * alpha (see
+``IntForm``).  Results become Fractions only where they are returned;
+conversions to and from simple-root coordinates are exact.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd, lcm
 
 from . import linalg
-from .linalg import dot, neg, scale, sub, vec, zero_vec
+from .linalg import dot, neg, scale, vec, zero_vec
 
 TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7")
 
@@ -31,21 +38,123 @@ class SpanError(ValueError):
     """A vector lies outside the rational span of the simple roots."""
 
 
+def exact_tuple(values):
+    """The values as a tuple; each must be an int or a Fraction."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
+    return values
+
+
+def _scaled_ints(values, den=1):
+    """(X, D) with values = X / D: D is the least common multiple of
+    ``den`` and the denominators, X a tuple of ints."""
+    values = exact_tuple(values)
+    d = lcm(den, *(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+@lru_cache(maxsize=4096)
+def _fraction(n, d):
+    """n / d as one Fraction object shared by every caller while the value
+    stays in the cache: equal weights then hold the same objects, so tuple
+    and dict comparisons of them succeed on identity."""
+    return Fraction(n, d)
+
+
+def as_fractions(points, d):
+    """The int tuples ``points`` divided by d, as Fraction tuples."""
+    return [tuple([_fraction(c, d) for c in x]) for x in points]
+
+
+def _shared(r):
+    """The root r with its entries taken from ``_fraction``."""
+    return tuple([_fraction(c.numerator, c.denominator) for c in r])
+
+
+class IntForm:
+    """Integer data of one root system, built on first use.
+
+    ``rd`` is the common denominator of the root coordinates.  ``root``
+    maps each root alpha (as a tuple) to ``(R, nn)``: R = rd * alpha as a
+    tuple of ints and nn = R.R.  ``simple``, ``positive`` and ``all`` hold
+    the same pairs in the order of ``simple_roots``, ``positive_roots`` and
+    ``roots``.  For a weight x = X / D the pairing (x, alpha-check) is
+    2 * rd * (X.R) / (D * nn).
+
+    ``cartan`` and ``fundamental`` are the public Cartan matrix and
+    fundamental weights (Fractions).  ``duals`` and ``kd`` give simple-root
+    coordinates: rd * Q_i / kd is the vector d_i of the span with
+    (d_i, alpha_j) = [i == j], so the i-th coordinate of x = X / D is
+    rd * (Q_i.X) / (kd * D), and x lies in the span exactly when
+    sum_i (Q_i.X) R_i = kd * X.  All of them come from one inverse of the
+    Cartan matrix.
+    """
+
+    def __init__(self, system):
+        self.rd = rd = lcm(*(c.denominator for r in system.roots for c in r))
+        self.root = {}
+        for r in system.roots:
+            big = tuple(c.numerator * (rd // c.denominator) for c in r)
+            self.root[r] = (big, dot(big, big))
+        self.all = tuple(self.root[r] for r in system.roots)
+        self.positive = self.all[:len(system.positive_roots)]
+        self.simple = tuple(self.root[a] for a in system.simple_roots)
+        # (alpha_j, alpha_i-check) = 2 (R_i.R_j) / nn_i is an integer
+        cartan = [[2 * dot(ri, rj) // ni for rj, _ in self.simple]
+                  for ri, ni in self.simple]
+        self.cartan = tuple(as_fractions(cartan, 1))
+        # omega_i = sum_k inv[k][i] alpha_k = W_i / (cd * rd) with the int
+        # tuples W_i = sum_k (cd * inv[k][i]) R_k
+        inv = linalg.invert(cartan)
+        cd = lcm(*(x.denominator for row in inv for x in row))
+        inv = [[x.numerator * (cd // x.denominator) for x in row] for row in inv]
+        n = system.ambient_dim
+        weights = [tuple(sum(inv[k][i] * r[j] for k, (r, _) in enumerate(self.simple))
+                         for j in range(n)) for i in range(system.rank)]
+        self.fundamental = tuple(as_fractions(weights, cd * rd))
+        # d_i = 2 omega_i / (alpha_i, alpha_i) = 2 * rd * W_i / (nn_i * cd)
+        top = lcm(*(nn for _, nn in self.simple))
+        self.duals = tuple(tuple(top // nn * 2 * c for c in w)
+                           for w, (_, nn) in zip(weights, self.simple))
+        self.kd = top * cd
+
+    def dual(self, i):
+        """The vector d_i (Fractions), 0-based."""
+        return as_fractions([[self.rd * q for q in self.duals[i]]], self.kd)[0]
+
+    def pairing(self, entry, x, d):
+        """(num, den) with num / den the pairing of x / d with the coroot of
+        the root of ``entry``."""
+        big, nn = entry
+        return 2 * self.rd * dot(x, big), d * nn
+
+    def reflect(self, entry, x, d):
+        """(Y, E) with Y / E the reflection of x / d in the root of ``entry``,
+        where d is a multiple of rd; E = d when the pairing is an integer."""
+        big, _ = entry
+        num, den = self.pairing(entry, x, d)
+        g = gcd(num, den)
+        p, q = num // g, den // g  # the pairing is p / q
+        s = p * (d // self.rd)
+        return tuple(q * a - s * b for a, b in zip(x, big)), d * q
+
+
 class RootSystem:
     """A realized root system: simple roots, all roots, pairing data.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction (the integer form is built once, on first
+    use); safe to share between threads.
     """
 
     def __init__(self, type_label, rank, ambient_dim, simple_roots, positive_roots):
         self.type_label = type_label
         self.rank = rank
         self.ambient_dim = ambient_dim
-        self.simple_roots = tuple(simple_roots)
-        self.positive_roots = tuple(sorted(positive_roots))
-        self.roots = self.positive_roots + tuple(neg(r) for r in self.positive_roots)
-        self._root_set = frozenset(self.roots)
-        self.root_norms = {r: dot(r, r) for r in self.roots}
+        self.simple_roots = tuple(map(_shared, simple_roots))
+        self.positive_roots = tuple(sorted(map(_shared, positive_roots)))
+        self.roots = self.positive_roots + tuple(_shared(neg(r)) for r in self.positive_roots)
         if len(self.simple_roots) != rank:
             raise RootSystemError("simple root count does not match rank")
         if linalg.rank(self.simple_roots) != rank:
@@ -62,10 +171,46 @@ class RootSystem:
         return hash((self.type_label, self.rank))
 
     def is_root(self, v):
-        return tuple(v) in self._root_set
+        return tuple(v) in self.int_form.root
 
     def zero(self):
         return zero_vec(self.ambient_dim)
+
+    @cached_property
+    def int_form(self):
+        return IntForm(self)
+
+
+def int_weight(system, x):
+    """(X, D) with x = X / D: D is a multiple of the system's ``rd`` and X
+    a tuple of ints of the ambient dimension."""
+    big, d = _scaled_ints(x, system.int_form.rd)
+    if len(big) != system.ambient_dim:
+        raise ValueError("weight dimension does not match the system")
+    return big, d
+
+
+def exact_weight(system, x):
+    """x as a tuple of Fractions of the ambient dimension."""
+    big, d = int_weight(system, x)
+    return as_fractions([big], d)[0]
+
+
+def int_points(system, weights):
+    """(points, D) with the weights equal to points / D: one common scale
+    D, a multiple of the system's ``rd``, and a list of int tuples."""
+    scaled = [int_weight(system, x) for x in weights]
+    d = lcm(system.int_form.rd, *(e for _, e in scaled))
+    return [tuple(c * (d // e) for c in x) for x, e in scaled], d
+
+
+def _root_entry(system, alpha):
+    """``(R, nn)`` of the root alpha; NotARootError for any other vector."""
+    alpha = exact_tuple(alpha)
+    entry = system.int_form.root.get(alpha)
+    if entry is None:
+        raise NotARootError(f"{alpha} is not a root of {system}")
+    return entry
 
 
 def _simple_a(m):
@@ -214,31 +359,28 @@ def build_root_system(type_label, rank):
     else:
         simple = _simple_e7()
         all_roots = _all_roots_e7()
-    positive = [r for r in all_roots if _is_nonnegative_combo(simple, r)]
+    # the height functional h, (h, alpha_i) = 1 on every simple root:
+    # (h, r) is the height of r, positive exactly on the positive roots
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    t = linalg.solve_square(gram, (1,) * rank)
+    h = tuple(dot(t, col) for col in zip(*simple))
+    positive = [r for r in all_roots if dot(h, r) > 0]
     if 2 * len(positive) != len(all_roots):
         raise RootSystemError("positivity split failed")  # construction bug guard
     return RootSystem(type_label, rank, 8, simple, positive)
 
 
-def _is_nonnegative_combo(simple, v):
-    coeffs = linalg.solve_in_basis(simple, v)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
-
-
 def pairing(system, x, alpha):
     """Exact value of (x, alpha-check) = 2(x, alpha)/(alpha, alpha)."""
-    alpha = tuple(alpha)
-    if not system.is_root(alpha):
-        raise NotARootError(f"{alpha} is not a root of {system}")
-    return 2 * dot(tuple(x), alpha) / system.root_norms[alpha]
+    entry = _root_entry(system, alpha)
+    return Fraction(*system.int_form.pairing(entry, *int_weight(system, x)))
 
 
 def reflect(system, alpha, x):
     """Reflection of x in the hyperplane orthogonal to the root alpha."""
-    alpha = tuple(alpha)
-    if not system.is_root(alpha):
-        raise NotARootError(f"{alpha} is not a root of {system}")
-    return sub(tuple(x), scale(pairing(system, x, alpha), alpha))
+    entry = _root_entry(system, alpha)
+    y, d = system.int_form.reflect(entry, *int_weight(system, x))
+    return as_fractions([y], d)[0]
 
 
 def to_simple_root_coords(system, x):
@@ -247,20 +389,24 @@ def to_simple_root_coords(system, x):
     Raises SpanError when x is outside the span (possible whenever the
     ambient dimension exceeds the rank).
     """
-    coeffs = linalg.solve_in_basis(system.simple_roots, tuple(x))
-    if coeffs is None:
+    form = system.int_form
+    big, d = int_weight(system, x)
+    coeffs = [dot(q, big) for q in form.duals]
+    back = [sum(c * r[j] for c, (r, _) in zip(coeffs, form.simple))
+            for j in range(system.ambient_dim)]
+    if back != [form.kd * c for c in big]:
         raise SpanError(f"{x} is not in the span of the simple roots of {system}")
-    return coeffs
+    return as_fractions([[form.rd * c for c in coeffs]], form.kd * d)[0]
 
 
 def from_simple_root_coords(system, coeffs):
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs, d = _scaled_ints(coeffs)
     if len(coeffs) != system.rank:
         raise ValueError("coefficient vector length does not match the rank")
-    out = system.zero()
-    for c, a in zip(coeffs, system.simple_roots):
-        out = linalg.add(out, scale(c, a))
-    return out
+    form = system.int_form
+    x = [sum(c * r[j] for c, (r, _) in zip(coeffs, form.simple))
+         for j in range(system.ambient_dim)]
+    return as_fractions([x], d * form.rd)[0]
 
 
 def reflection_matrix_table(system):
@@ -279,10 +425,7 @@ def reflection_matrix_table(system):
 
 def cartan_matrix(system):
     """Entries (i, j) = (alpha_j, alpha_i-check)."""
-    return tuple(
-        tuple(pairing(system, aj, ai) for aj in system.simple_roots)
-        for ai in system.simple_roots
-    )
+    return system.int_form.cartan
 
 
 def weyl_group_order(system):

@@ -78,9 +78,23 @@ def eigenset_to_json(delta):
     }
 
 
+EIGENSET_KEYS = ("delta1", "delta2", "structure")
+STRUCTURE_KEYS = ("d1", "d2")
+
+
+def _reject_unknown_keys(obj, known, what):
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r} "
+                         f"(known keys: {', '.join(known)})")
+
+
 def eigenset_from_json(obj):
     """The eigenset of a decoded JSON object; anything but lists of points
-    and integer block dimensions is rejected with a ValueError."""
+    and integer block dimensions under the known keys is rejected with a
+    ValueError."""
+    if isinstance(obj, dict):
+        _reject_unknown_keys(obj, EIGENSET_KEYS, "eigenset")
     try:
         d1_points = obj["delta1"]
         d2_points = obj["delta2"]
@@ -92,6 +106,7 @@ def eigenset_from_json(obj):
             raise ValueError(f"{key} must be a list of points")
     if not isinstance(structure, dict):
         raise ValueError("structure must be an object with keys d1, d2")
+    _reject_unknown_keys(structure, STRUCTURE_KEYS, "structure")
     delta = build_delta(d1_points, d2_points)
     for key in ("d1", "d2"):
         declared = structure.get(key, getattr(delta.structure, key))

@@ -292,8 +292,10 @@ def frobmodel_suite(delta, op):
         def check():
             levels = frobmodel.invariant_level_sets(delta)
             witness = {str(c): len(s) for c, s in sorted(levels.items())}
-            total = sum(len(s) for s in levels.values())
-            return total == len(frobmodel.sum_set(delta)), witness
+            # an independent probe of the one-pass counts: the least sum
+            # of each level, recounted directly
+            ok = all(frobmodel.t_eta_count(delta, min(s)) == c for c, s in levels.items())
+            return ok, witness
 
         _timed(report, "level-sets",
                "level sets partition the pairwise-sum set", check)

@@ -3,13 +3,16 @@
 Orbits are enumerated by breadth-first closure under the simple
 reflections with exact deduplication on coordinate tuples, so the
 result is deterministic and bit-exact across runs.
+
+Weights go in and come out as tuples of Fractions (ints are accepted on
+input; bools, floats and strings are rejected).  Each step is one call of
+``rootsystem.reflect``, which runs on the system's integer form
+(``rootsystem.IntForm``) and returns Fractions again.
 """
 
 from collections import Counter
-from fractions import Fraction
 
-from . import linalg, rootsystem
-from .rootsystem import NotARootError, reflect
+from .rootsystem import NotARootError, exact_tuple, exact_weight, int_weight, reflect
 
 ORBIT_CAP = 10 ** 6
 
@@ -60,8 +63,13 @@ class WeightSet:
 
 
 def _check_in_weight_lattice(system, w):
-    for alpha in system.roots:
-        if rootsystem.pairing(system, w, alpha).denominator != 1:
+    """Raise unless w pairs integrally with every coroot.  The simple
+    coroots suffice: every coroot is an integer combination of them."""
+    form = system.int_form
+    x, d = int_weight(system, w)
+    for entry in form.simple:
+        num, den = form.pairing(entry, x, d)
+        if num % den:
             raise ValueError(f"{w} is not in the weight lattice of {system}")
 
 
@@ -74,9 +82,10 @@ def orbit_words(system, w, cap=ORBIT_CAP):
     """BFS orbit together with a word of simple-reflection indices per element.
 
     The word (i1, ..., ik) means the element equals
-    S_{alpha_{ik}}(... S_{alpha_{i1}}(w) ...), indices 0-based.
+    S_{alpha_{ik}}(... S_{alpha_{i1}}(w) ...), indices 0-based.  The dict
+    is in BFS order.
     """
-    w = tuple(Fraction(c) for c in w)
+    w = exact_weight(system, w)
     _check_in_weight_lattice(system, w)
     words = {w: ()}
     frontier = [w]
@@ -99,9 +108,9 @@ def apply_chain(system, chain, start):
 
     The result has length len(chain) + 1 and begins with ``start``.
     """
-    out = [tuple(Fraction(c) for c in start)]
+    out = [exact_weight(system, start)]
     for alpha in chain:
-        if not system.is_root(tuple(alpha)):
+        if not system.is_root(exact_tuple(alpha)):
             raise NotARootError(f"chain step {alpha} is not a root of {system}")
         out.append(reflect(system, alpha, out[-1]))
     return out
@@ -115,10 +124,7 @@ def fundamental_weight(system, i):
     """
     if not 1 <= i <= system.rank:
         raise IndexError(f"fundamental weight index {i} out of range for {system}")
-    cartan = rootsystem.cartan_matrix(system)
-    rhs = tuple(Fraction(1) if k == i - 1 else Fraction(0) for k in range(system.rank))
-    coeffs = linalg.solve_square(cartan, rhs)
-    return rootsystem.from_simple_root_coords(system, coeffs)
+    return system.int_form.fundamental[i - 1]
 
 
 def fundamental_weights(system):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -83,6 +84,18 @@ def test_fixture_dir_env_override(runner, tmp_path):
     result = invoke(runner, "verify-e7",
                     env={"MICROWEIGHT_FIXTURE_DIR": str(tmp_path)})
     assert result.exit_code == 0
+
+
+def test_fixture_dir_without_fixture_is_an_error(runner, tmp_path):
+    missing = tmp_path / "omega_e7.txt"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"fixture_dir = {tmp_path}\n", encoding="utf-8")
+    result = invoke(runner, "--config", str(cfg), "--quiet", "verify-e7")
+    assert result.exit_code == 2
+    assert str(missing) in result.output
+    result = invoke(runner, "verify-e7", env={"MICROWEIGHT_FIXTURE_DIR": str(tmp_path)})
+    assert result.exit_code == 2
+    assert str(missing) in result.output
 
 
 def test_verify_lemmas_27(runner):
@@ -173,6 +186,24 @@ def test_frobmodel_level_sets(runner, tmp_path):
     assert witness == {"1": 4, "2": 4, "4": 1}
 
 
+def test_frobmodel_level_sets_fails_on_wrong_counts(runner, tmp_path, monkeypatch):
+    from microweight import frobmodel
+
+    counts = frobmodel._pair_sum_counts
+
+    def off_by_one(delta):
+        return Counter({eta: n + 1 for eta, n in counts(delta).items()})
+
+    monkeypatch.setattr(frobmodel, "_pair_sum_counts", off_by_one)
+    path = write_delta(tmp_path, [(1,), (-1,)], [(1,), (-1,)])
+    result = invoke(runner, "--json", "frobmodel", "--input", path,
+                    "--op", "level-sets")
+    assert result.exit_code == 1
+    (check,) = json.loads(result.output)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == {"2": 4, "3": 4, "5": 1}
+
+
 def test_frobmodel_line_and_b_set(runner, tmp_path):
     path = write_delta(tmp_path, [(0,), (1,), (2,)], [(0,)])
     result = invoke(runner, "frobmodel", "--input", path, "--op", "line-set")
@@ -220,8 +251,13 @@ def test_frobmodel_rejects_non_integer_entries(runner, tmp_path, entry):
      "declared d2=True is not an integer"),
     ({"delta1": "11", "delta2": [[1]]}, "delta1 must be a list"),
     ([[1], [1]], "malformed eigenset JSON"),
+    ({"delta1": [[1], [-1]], "delta2": [[1]], "structur": {"d1": 5}},
+     "unknown eigenset key 'structur'"),
+    ({"delta1": [[1]], "delta2": [[1]], "structure": {"d1": 1, "d3": 1}},
+     "unknown structure key 'd3'"),
 ], ids=["point-not-a-list", "structure-list", "structure-int", "d1-float",
-        "d2-bool", "factor-string", "top-level-list"])
+        "d2-bool", "factor-string", "top-level-list", "unknown-key",
+        "unknown-structure-key"])
 def test_frobmodel_rejects_malformed_eigensets(runner, tmp_path, obj, message):
     path = tmp_path / "e.json"
     path.write_text(json.dumps(obj), encoding="utf-8")

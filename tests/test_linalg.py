@@ -71,7 +71,8 @@ def test_is_integral():
     assert not linalg.is_integral(linalg.vec([Fraction(1, 2), 1]))
 
 
-@pytest.mark.parametrize("op, expected", [(linalg.add, (4, 6)), (linalg.sub, (-2, -2))])
+@pytest.mark.parametrize("op, expected", [(linalg.add, (4, 6)), (linalg.sub, (-2, -2)),
+                                          (linalg.dot, 11)])
 def test_add_sub_reject_different_lengths(op, expected):
     assert op((1, 2), (3, 4)) == expected
     with pytest.raises(ValueError, match="lengths differ"):

@@ -17,6 +17,7 @@ from microweight import (
     to_simple_root_coords,
     weyl_group_order,
 )
+from microweight import linalg
 from microweight.linalg import vec
 from microweight.weylorbit import fundamental_weights
 
@@ -149,3 +150,18 @@ def test_system_identity_and_cache():
     assert build_root_system("B", 3) is build_root_system("B", 3)
     assert build_root_system("B", 3) == build_root_system("B", 3)
     assert build_root_system("B", 3) != build_root_system("C", 3)
+
+
+@pytest.mark.parametrize("label,rank", ALL_SYSTEMS + [("A", 7), ("B", 6), ("D", 7)])
+def test_positive_roots_are_the_nonnegative_combinations(label, rank):
+    """The height-functional split agrees with the definition it replaced:
+    a root is positive when its simple-root coefficients are all >= 0."""
+
+    def is_nonnegative_combo(simple, v):
+        coeffs = linalg.solve_in_basis(simple, v)
+        return coeffs is not None and all(c >= 0 for c in coeffs)
+
+    system = build_root_system(label, rank)
+    expected = tuple(sorted(r for r in system.roots
+                            if is_nonnegative_combo(system.simple_roots, r)))
+    assert system.positive_roots == expected
