@@ -2,7 +2,10 @@
 
 Covers collinearity scans, cube-vertex coordinate checks, the separating
 hyperplane partition of the 56-point weight system, and detection of
-point sets affinely isomorphic to that weight system.
+point sets affinely isomorphic to that weight system in four stages:
+size, dimension and antipodality; the row profile of the hat matrix, an
+affine invariant; backtracking on equal hat-matrix entries; and an
+integer verify of the assembled map.
 """
 
 from collections import Counter
@@ -10,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .linalg import add, dot, mat_vec, neg, scale, sub, vec
@@ -243,32 +247,38 @@ class AffineMap:
         return add(mat_vec(self.matrix, vec(x)), self.translation)
 
 
-def _difference_counter(points):
-    c = Counter()
-    for a in points:
-        for b in points:
-            if a != b:
-                c[sub(a, b)] += 1
-    return c
+def _hat(points, cols):
+    """``(d, row)``: ``d = det(X^T X)`` for the full-rank int points X,
+    and ``row(x)`` lists ``24 d P(x, y)`` as ints for y in cols, where
+    ``P(x, y) = x^T (X^T X)^-1 y``.  On the points, P is the hat matrix
+    ``X (X^T X)^-1 X^T``, which no invertible linear map changes."""
+    gram_cols = list(zip(*points))
+    d, inv = linalg.int_inverse([[dot(a, b) for b in gram_cols] for a in gram_cols])
+
+    def row(x):
+        w = [24 * v for v in mat_vec(inv, x)]
+        return [sum(map(mul, w, y)) for y in cols]
+    return d, row
 
 
 @lru_cache(maxsize=1)
-def _target_data():
-    target = tuple(sorted(omega56()))
-    diffs = _difference_counter(target)
-    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in target if q != p))
-            for p in target}
-    return target, diffs, sigs, collinear_triple_count(omega56_configuration())
+def _target():
+    """The sorted target points (barycenter 0), their hat matrix ``24 P``
+    (entries 3, 1, -1, -3) and its row profile, the same for every row."""
+    points = tuple(sorted(omega56()))
+    d, hat_row = _hat(points, points)
+    hat = tuple(tuple(v // d for v in hat_row(x)) for x in points)
+    return points, hat, Counter(hat[0])
 
 
-def _greedy_independent(points, k):
-    chosen = []
-    for p in points:
-        if linalg.rank(chosen + [p]) == len(chosen) + 1:
-            chosen.append(p)
-            if len(chosen) == k:
-                return chosen
-    return None
+def _profile_matches(d, half_rows, profile):
+    """Every row of ``24 d P`` has the target's row profile.  A half row
+    holds P of one point of an antipodal pair against one point of every
+    pair.  As ``P(-x, y) = P(x, -y) = -P(x, y)``, a full row is a half row
+    and its negation, and the other rows are negated rows; the profile is
+    symmetric and has no zero, so absolute values decide every full row."""
+    want = {d * v: k for v, k in profile.items() if v > 0}
+    return all(Counter(map(abs, row)) == want for row in half_rows)
 
 
 def detect_e7_config(config, node_cap=10 ** 7):
@@ -277,116 +287,90 @@ def detect_e7_config(config, node_cap=10 ** 7):
 
     Returns an AffineMap on success and None when the configuration is
     provably not of that type.  Raises DetectionInconclusive if the
-    backtracking search exceeds ``node_cap`` candidate expansions (never
-    observed on genuine instances; the invariant prefilters do the work).
+    backtracking search exceeds ``node_cap`` candidate expansions.
 
-    The search runs on the centred integer points ``s * (p - barycenter)``
-    with ``s = len(config) * config.den``; the assembled matrix is scaled
-    back by ``s``.
+    Four stages on machine ints: (1) size, affine dimension 7 and antipodal
+    symmetry; (2) the row profile of the hat matrix P of the centred points
+    (1/8 and -1/8 once, 1/24 and -1/24 27 times each); (3) backtracking
+    that assigns target images to 7 independent basis points, keeping a
+    candidate only when P is equal on every assigned pair; (4) a verify
+    that the linear map fixed by the basis images carries every point into
+    the target, since equal P on the basis does not imply that.
     """
-    target, target_diffs, target_sigs, target_collinear = _target_data()
-    target_set = set(target)
+    target, target_hat, profile = _target()
     if len(config) != len(target):
         return None
     if config.affine_dimension != 7:
         return None
     if not config.antipodal:
         return None
-    if collinear_triple_count(config) != target_collinear:
-        return None
 
+    # the centred points y = (n den / g) (p - barycenter), as ints
     n = len(config)
-    s = n * config.den
     sums = [sum(col) for col in zip(*config.int_points)]
-    # n*q - sums keeps the sorted order of the integer points
-    pts = tuple(tuple(n * x - t for x, t in zip(q, sums)) for q in config.int_points)
-    pts_set = set(pts)
-    diffs = _difference_counter(pts)
-    if sorted(diffs.values()) != sorted(target_diffs.values()):
-        return None
-    sigs = {p: tuple(sorted(diffs[sub(p, q)] for q in pts if q != p)) for p in pts}
-    if sorted(sigs.values()) != sorted(target_sigs.values()):
+    centred = [tuple(n * x - t for x, t in zip(q, sums)) for q in config.int_points]
+    g = gcd(*(x for y in centred for x in y))
+    centred = [tuple(x // g for x in y) for y in centred]
+    # negation reverses the sorted order and, with an even number of
+    # points, fixes none: the first half holds one point of each pair
+    basis = linalg.independent_rows(centred[:n // 2], 7)
+    # coordinates independent on the basis are independent on its span,
+    # which holds every centred point
+    coords = linalg.independent_rows(list(zip(*(centred[k] for k in basis))), 7)
+    pts = [tuple(y[c] for c in coords) for y in centred]
+    half = pts[:n // 2]
+
+    d, hat_row = _hat(pts, half)
+    if not _profile_matches(d, map(hat_row, half), profile):
         return None
 
-    basis = _greedy_independent(list(pts), 7)
-    if basis is None:
-        return None
-    # coordinates in the basis: K = (B^T B)^{-1} B^T, shape 7 x d; every
-    # centred point lies in the span of the basis
-    inv = linalg.invert([[dot(bi, bj) for bj in basis] for bi in basis])
-    k_rows = [tuple(dot(r, col) for col in zip(*basis)) for r in inv]
-    coords = [mat_vec(k_rows, p) for p in pts]
+    # 24 P on the basis pairs, None where it is not an integer
+    need = [[q if r == 0 else None for q, r in (divmod(row[j], d) for j in basis)]
+            for row in (hat_row(half[k]) for k in basis)]
+    # kappa . B = e * y: the basis coordinates of y, times e
+    e, b_inv = linalg.int_inverse([pts[i] for i in basis])
+    b_inv_cols = list(zip(*b_inv))
+    kappas = [[sum(map(mul, col, y)) for col in b_inv_cols] for y in pts]
+    target_set = {tuple(e * x for x in t) for t in target}
+
+    def maps_onto_target(assigned):
+        image_cols = list(zip(*(target[a] for a in assigned)))
+        return {tuple(sum(map(mul, col, kappa)) for col in image_cols)
+                for kappa in kappas} == target_set
 
     nodes = 0
 
-    def compatible(candidate, assigned):
-        bnew = basis[len(assigned)]
-        for i, qi in enumerate(assigned):
-            bi = basis[i]
-            if diffs[sub(bnew, bi)] != target_diffs.get(sub(candidate, qi), 0):
-                return False
-        for i, qi in enumerate(assigned):
-            bi = basis[i]
-            step, image_step = sub(bnew, bi), sub(candidate, qi)
-            for j, qj in enumerate(assigned):
-                if i == j:
-                    continue
-                probe = add(step, basis[j])
-                image = add(image_step, qj)
-                if (probe in pts_set) != (image in target_set):
-                    return False
-            probe = sub(bi, step)  # reflection of bnew through bi
-            image = sub(qi, image_step)
-            if (probe in pts_set) != (image in target_set):
-                return False
-        return True
-
-    def verify(assigned):
-        image = set()
-        for kappa in coords:
-            y = (Fraction(0),) * 7
-            for c, q in zip(kappa, assigned):
-                if c:
-                    y = add(y, scale(c, q))
-            image.add(y)
-        return image == target_set
-
-    def search(assigned, used):
+    def search(assigned):
         nonlocal nodes
-        level = len(assigned)
-        bnew = basis[level]
-        sig = sigs[bnew]
-        for candidate in target:
-            if candidate in used:
-                continue
-            if target_sigs[candidate] != sig:
+        k = len(assigned)
+        for t in range(len(target)):
+            # P on (basis k, basis i) for every i <= k, the pair (k, k) too
+            if t in assigned or any(target_hat[t][a] != c
+                                    for c, a in zip(need[k], assigned + [t])):
                 continue
             nodes += 1
             if nodes > node_cap:
                 raise DetectionInconclusive(
                     f"node cap {node_cap} exceeded during matching")
-            if not compatible(candidate, assigned):
-                continue
-            assigned.append(candidate)
-            used.add(candidate)
-            if len(assigned) == 7:
-                if verify(assigned):
-                    return list(assigned)
-            else:
-                result = search(assigned, used)
-                if result is not None:
-                    return result
+            assigned.append(t)
+            found = search(assigned) if k < 6 else maps_onto_target(assigned)
+            if found:
+                return True
             assigned.pop()
-            used.remove(candidate)
+        return False
+
+    assigned = []
+    if not search(assigned):
         return None
 
-    images = search([], set())
-    if images is None:
-        return None
-
-    # the explicit matrix: coordinates in the basis followed by the
-    # assigned images, times s to act on the unscaled points
-    matrix = tuple(tuple(s * dot(image_col, k_col) for k_col in zip(*k_rows))
-                   for image_col in zip(*images))
-    translation = neg(mat_vec(matrix, config.barycenter))
-    return AffineMap(matrix, translation)
+    # on coords, y maps to (y . E) . T / e, with E = e B^-1 and T the
+    # basis images as rows: the matrix is s (E . T) transposed, with
+    # s = n den / (g e), built once, in Fractions
+    s = Fraction(n * config.den, g * e)
+    image_cols = list(zip(*(target[a] for a in assigned)))
+    matrix = [[Fraction(0)] * config.dim for _ in range(7)]
+    for c, row in zip(coords, b_inv):
+        for r, v in enumerate(mat_vec(image_cols, row)):
+            matrix[r][c] = s * v
+    matrix = tuple(map(tuple, matrix))
+    return AffineMap(matrix, neg(mat_vec(matrix, config.barycenter)))

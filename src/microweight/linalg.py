@@ -5,11 +5,11 @@ vectors.  All dimensions in this package stay below ~10, so plain Gaussian
 elimination is entirely adequate; there is deliberately no floating point
 anywhere.
 
-``rank`` is fraction-free: it clears the denominators of each row, then
-eliminates with integer row operations, dividing every new row by the gcd
-of its entries so that the entries stay small.  ``_eliminate`` keeps the
-Fraction elimination that ``solve_in_basis`` and ``invert`` need for
-their exact rational results.
+``rank``, ``independent_rows`` and ``int_inverse`` are fraction-free:
+they run integer row operations on int rows (``rank`` clears the
+denominators of each row first), and ``invert`` is ``int_inverse`` on
+the rows cleared of denominators.  ``_eliminate`` keeps the Fraction
+elimination of ``solve_in_basis``.
 """
 
 import operator
@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(entries):
@@ -92,34 +91,32 @@ def _integer_row(v):
     return [x.numerator * (m // x.denominator) for x in v]
 
 
+def independent_rows(rows, k=None):
+    """Indices of the int rows that are independent of the rows before
+    them, up to the first k.  Fraction-free: each row is reduced against
+    the echelon rows kept so far, and a kept row is divided by the gcd of
+    its entries so that the entries stay small."""
+    chosen, echelon = [], []
+    for i, v in enumerate(rows):
+        for c, e in echelon:
+            if v[c]:
+                a, b = e[c], v[c]
+                v = [a * x - b * y for x, y in zip(v, e)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = gcd(*v)
+            echelon.append((pivot, [x // g for x in v]))
+            chosen.append(i)
+            if len(chosen) == k:
+                break
+    return chosen
+
+
 def rank(vectors):
-    """Rank over Q of the span of the given vectors, by fraction-free
-    elimination on their integer multiples."""
-    rows = [row for row in map(_integer_row, vectors) if any(row)]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((row for row in rows if row[c]), None)
-        if pivot is None:
-            continue
-        r += 1
-        a = pivot[c]
-        reduced = []
-        for row in rows:
-            if row is pivot:
-                continue
-            b = row[c]
-            if b:
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                if g == 0:
-                    continue  # the row was a multiple of the pivot
-                if g != 1:
-                    row = [x // g for x in row]
-            reduced.append(row)
-        rows = reduced
-        if not rows:
-            break
-    return r
+    """Rank over Q of the span of the given vectors, from the independent
+    rows among their integer multiples."""
+    rows = [_integer_row(v) for v in vectors]
+    return len(independent_rows(rows, len(rows[0]) if rows else None))
 
 
 def solve_in_basis(basis, target):
@@ -146,15 +143,41 @@ def solve_in_basis(basis, target):
     return tuple(coeffs)
 
 
-def invert(rows):
-    """Inverse of a square rational matrix given as rows."""
+def int_inverse(rows):
+    """``(d, adj)`` for a square int matrix A: ``d`` is ``|det A|`` and
+    ``adj`` is ``d * A^-1`` as int rows.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination: every row update
+    ``(a*x - b*y) // prev`` divides exactly, the left block ends as
+    ``det * I`` and the right block as ``det * A^-1``.
+    """
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(rows)]
-    pivots = _eliminate(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot_row = aug[k]
+        a = pivot_row[k]
+        for i in range(n):
+            b = aug[i][k]
+            if i != k:
+                aug[i] = [(a * x - b * y) // prev for x, y in zip(aug[i], pivot_row)]
+        prev = a
+    sign = 1 if prev > 0 else -1
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
+
+
+def invert(rows):
+    """Inverse of a square rational matrix given as rows: with A = D^-1 A'
+    for the int rows A' = D A (D the diagonal of row denominators),
+    A^-1 = A'^-1 D."""
+    scales = [lcm(*(Fraction(x).denominator for x in row)) for row in rows]
+    d, adj = int_inverse([[int(Fraction(x) * m) for x in row]
+                          for row, m in zip(rows, scales)])
+    return tuple(tuple(Fraction(a * m, d) for a, m in zip(row, scales)) for row in adj)
 
 
 def solve_square(rows, rhs):

@@ -275,6 +275,12 @@ def e7_projection_suite():
     return report
 
 
+def _midpoint_count(points):
+    """Ordered (a, m, c) in the set with 2m = a + c, a = m = c included."""
+    pts = set(points)
+    return sum(tuple(2 * y - x for x, y in zip(a, m)) in pts for a in pts for m in pts)
+
+
 def frobmodel_suite(delta, op):
     report = SuiteReport(f"frobmodel {op}")
     if op == "lambda-sq":
@@ -302,7 +308,12 @@ def frobmodel_suite(delta, op):
     elif op == "line-set":
         def check():
             lines = frobmodel.line_set(delta)
-            return True, len(lines)
+            # an independent count: a triple of the product is a midpoint
+            # triple in each factor, repeated points allowed, and only the
+            # |delta| triples a = m = c are not distinct
+            expected = (_midpoint_count(delta.factor1) * _midpoint_count(delta.factor2)
+                        - len(delta))
+            return len(lines) == expected, len(lines)
 
         _timed(report, "line-set", "ordered midpoint triples enumerated", check)
     elif op == "b-set":

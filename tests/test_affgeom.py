@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -73,11 +74,26 @@ def test_no_three_collinear_on_a5_middle_form():
                    for i in range(5) for j in range(5))
 
 
-def test_collinearity_suite_to_rank_10_passes():
-    report = collinearity_suite(10)
+@pytest.fixture(scope="module")
+def rank_10_scan():
+    return collinearity_suite(10)
+
+
+def test_collinearity_suite_to_rank_10_passes(rank_10_scan):
+    report = rank_10_scan
     assert len(report.checks) == 43
     assert all(c.status == "pass" for c in report.checks)
     assert "cube-B10-w10" in {c.id for c in report.checks}
+
+
+def test_rank_10_scan_forms_lie_on_spheres(rank_10_scan):
+    # a line meets a sphere in at most two points, so equal squared norms
+    # back every pass of the scan without the collinearity code
+    for check in rank_10_scan.checks:
+        match = re.fullmatch(r"cube-([A-Z])(\d+)-w(\d+)", check.id)
+        type_label, rank, index = match.groups()
+        points = cube_normal_form(type_label, int(rank), int(index)).points
+        assert len({sum(x * x for x in p) for p in points}) == 1, check.id
 
 
 def test_is_pm1_in_basis():

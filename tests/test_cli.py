@@ -275,3 +275,16 @@ def test_json_output_is_deterministic(runner):
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     json.loads(first.output)
+
+
+def test_frobmodel_line_set_fails_on_a_lost_triple(runner, tmp_path, monkeypatch):
+    from microweight import frobmodel
+
+    lines = frobmodel.line_set
+    monkeypatch.setattr(frobmodel, "line_set", lambda delta: lines(delta)[1:])
+    path = write_delta(tmp_path, [(0,), (1,), (2,)], [(0,)])
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "line-set")
+    assert result.exit_code == 1
+    (check,) = json.loads(result.output)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == 1

@@ -79,3 +79,53 @@ def test_add_sub_reject_different_lengths(op, expected):
         op((1, 2), (1, 2, 3))
     with pytest.raises(ValueError, match="lengths differ"):
         op((1, 2, 3), (1,))
+
+
+int_rows = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def fraction_echelon(rows):
+    """(rank, determinant of the leading square block) by Fraction
+    elimination written here."""
+    work, r, det = [linalg.vec(x) for x in rows], 0, Fraction(1)
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            work[r], work[p], det = work[p], work[r], -det
+        det *= work[r][c]
+        for i in range(r + 1, len(work)):
+            f = work[i][c] / work[r][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r, det
+
+
+@settings(max_examples=60)
+@given(int_rows)
+def test_int_inverse_is_det_times_the_fraction_inverse(rows):
+    rank, det = fraction_echelon(rows)
+    if rank < len(rows):
+        with pytest.raises(ValueError, match="singular"):
+            linalg.int_inverse(rows)
+        return
+    d, adj = linalg.int_inverse(rows)
+    assert d == abs(det) > 0
+    assert adj == tuple(tuple(d * x for x in row) for row in linalg.invert(rows))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=8),
+       st.integers(1, 4))
+def test_independent_rows_are_the_greedy_basis(rows, k):
+    def rank(m):
+        return fraction_echelon(m)[0]
+
+    chosen = linalg.independent_rows(rows, k)
+    assert len(chosen) == min(k, rank(rows))
+    # each row up to the last chosen one is chosen exactly when it raises the rank
+    for i in range(chosen[-1] + 1 if chosen else len(rows)):
+        assert (i in chosen) == (rank(rows[:i + 1]) > rank(rows[:i]))
