@@ -13,7 +13,6 @@ from .rootsystem import (
     reflect,
     reflection_matrix_table,
     to_simple_root_coords,
-    weyl_group_order,
 )
 from .weylorbit import (
     WeightSet,
@@ -26,22 +25,18 @@ from .weylorbit import (
 from .minuscule import (
     CubeForm,
     MinusculeEntry,
-    collinear_triple,
     cube_normal_form,
     is_minuscule,
     minuscule_catalog,
     saturation_progressions,
-    weight_system,
 )
 from .affgeom import (
     AffineMap,
     Configuration,
     DetectionInconclusive,
     SeparationReport,
-    affine_dimension,
     collinear_triple_count,
     detect_e7_config,
-    is_pm1_in_basis,
     no_three_collinear,
     omega56,
     separation_partition,

@@ -1,11 +1,10 @@
 """Exact affine geometry on finite rational point configurations.
 
-Covers collinearity scans, cube-vertex coordinate checks, the separating
-hyperplane partition of the 56-point weight system, and detection of
-point sets affinely isomorphic to that weight system in four stages:
-size, dimension and antipodality; the row profile of the hat matrix, an
-affine invariant; backtracking on equal hat-matrix entries; and an
-integer verify of the assembled map.
+Covers collinearity scans, the separating hyperplane partition of the
+56-point weight system, and detection of point sets affinely isomorphic
+to that weight system in four stages: size, dimension and antipodality;
+the row profile of the hat matrix, an affine invariant; backtracking on
+equal hat-matrix entries; and an integer verify of the assembled map.
 """
 
 from collections import Counter
@@ -17,8 +16,8 @@ from operator import mul
 
 from . import linalg
 from .linalg import add, dot, mat_vec, neg, scale, sub, vec
-from .rootsystem import (as_fractions, build_root_system, int_points, int_weight,
-                         to_simple_root_coords)
+from .rootsystem import (as_fractions, build_root_system, exact_tuple, int_points,
+                         int_weight, to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
 
 
@@ -29,6 +28,9 @@ class DetectionInconclusive(RuntimeError):
 class Configuration:
     """A finite set of distinct rational points of common dimension.
 
+    Coordinates must be ints or Fractions; a bool, float or string is
+    rejected with a ValueError, never coerced.
+
     ``points`` holds the points as sorted tuples of Fractions.  The
     integer form is built once on construction: ``den`` is the least
     common denominator of all coordinates and ``int_points[i]`` is
@@ -38,7 +40,7 @@ class Configuration:
     """
 
     def __init__(self, points):
-        pts = [vec(p) for p in points]
+        pts = [vec(exact_tuple(p)) for p in points]
         if not pts:
             raise ValueError("a configuration needs at least one point")
         dim = len(pts[0])
@@ -58,8 +60,8 @@ class Configuration:
         sums = [sum(col) for col in zip(*ints)]
         self.barycenter = tuple(Fraction(s, n * den) for s in sums)
         base = self.int_points[0]
-        self.affine_dimension = linalg.rank(
-            [sub(q, base) for q in self.int_points[1:]])
+        self.affine_dimension = len(linalg.independent_rows(
+            [sub(q, base) for q in self.int_points[1:]], dim))
         # p is mirrored to 2*barycenter - p; times n*den that is 2*sums - n*q
         scaled = {tuple(n * x for x in q) for q in self.int_points}
         self.antipodal = all(
@@ -71,10 +73,6 @@ class Configuration:
 
     def __repr__(self):
         return f"Configuration({len(self.points)} points, dim {self.dim})"
-
-
-def affine_dimension(config):
-    return config.affine_dimension
 
 
 def _directions_from(int_points, i):
@@ -139,20 +137,6 @@ def midpoint_triples(points):
                     yield d1, mid, d2
 
 
-def is_pm1_in_basis(config, basis, origin):
-    """True iff every point is origin plus a {-1,+1} combination of the
-    independent basis vectors."""
-    basis = [vec(b) for b in basis]
-    if linalg.rank(basis) != len(basis):
-        raise ValueError("basis vectors are linearly dependent")
-    origin = vec(origin)
-    for p in config.points:
-        coeffs = linalg.solve_in_basis(basis, sub(p, origin))
-        if coeffs is None or any(c not in (1, -1) for c in coeffs):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the canonical 56-point weight system in integer simple-root coordinates
 
@@ -166,14 +150,9 @@ def omega56():
     pts = []
     for x in orb.support:
         coords = to_simple_root_coords(system, scale(2, x))
-        assert linalg.is_integral(coords)
+        assert all(c.denominator == 1 for c in coords)
         pts.append(tuple(int(c) for c in coords))
     return frozenset(pts)
-
-
-@lru_cache(maxsize=1)
-def omega56_configuration():
-    return Configuration(omega56())
 
 
 # ---------------------------------------------------------------------------

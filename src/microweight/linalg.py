@@ -184,7 +184,3 @@ def solve_square(rows, rhs):
     """Solve A x = rhs for square invertible A (rows of A given)."""
     inv = invert(rows)
     return mat_vec(inv, rhs)
-
-
-def is_integral(v):
-    return all(Fraction(x).denominator == 1 for x in v)

@@ -1,5 +1,5 @@
-"""Minuscule weights: the catalog, weight systems, cube normal forms,
-saturation progressions and collinear-triple detection.
+"""Minuscule weights: the pairing test, the catalog, cube normal forms
+and saturation progressions.
 
 A nonzero lattice weight is minuscule when every root pairing lies in
 {-1, 0, 1}; its weight system is then a single Weyl orbit.  For the
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .affgeom import midpoint_triples
 from .rootsystem import (RootSystemError, build_root_system, exact_weight, int_points,
                          int_weight)
-from .weylorbit import WeightSet, orbit
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,10 @@ def _d_spin_form(m):
     return "orthogonal" if m % 4 == 0 else "symplectic"
 
 
-def minuscule_catalog(type_label, rank, include_d3=False):
+def minuscule_catalog(type_label, rank):
     """The catalog of minuscule fundamental weights for one type and rank.
 
-    D_3 is rejected unless ``include_d3`` is set (it aliases A_3 and is
-    excluded from the public list).
+    D_3 is rejected: it aliases A_3 and is excluded from the public list.
     """
     build_root_system(type_label, rank)  # validates the type/rank range
     if type_label == "A":
@@ -81,10 +78,8 @@ def minuscule_catalog(type_label, rank, include_d3=False):
     if type_label == "C":
         return [MinusculeEntry("C", rank, 1, 2 * rank, "symplectic")]
     if type_label == "D":
-        if rank == 3 and not include_d3:
-            raise RootSystemError(
-                "D_3 is excluded from the catalog (alias of A_3); "
-                "pass include_d3=True to allow it")
+        if rank == 3:
+            raise RootSystemError("D_3 is excluded from the catalog (alias of A_3)")
         spin = _d_spin_form(rank)
         return [
             MinusculeEntry("D", rank, 1, 2 * rank, "orthogonal"),
@@ -95,13 +90,6 @@ def minuscule_catalog(type_label, rank, include_d3=False):
         return [MinusculeEntry("E6", 6, 1, 27, "neither"),
                 MinusculeEntry("E6", 6, 6, 27, "neither")]
     return [MinusculeEntry("E7", 7, 7, 56, "symplectic")]
-
-
-def weight_system(system, w):
-    """The weight system of the minuscule weight w: its full Weyl orbit."""
-    if not is_minuscule(system, w):
-        raise ValueError(f"{w} is not a minuscule weight of {system}")
-    return orbit(system, w)
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,7 @@ def saturation_progressions(omega, system):
     stepping away from the weight.  Returns one record per required
     progression with a presence flag.
     """
-    members = sorted(set(omega.support if isinstance(omega, WeightSet)
-                         else map(tuple, omega)))
+    members = sorted(set(map(tuple, omega)))
     form = system.int_form
     # the weights and the roots at one scale d
     points, d = int_points(system, [*members, *system.roots])
@@ -199,9 +186,3 @@ def saturation_progressions(omega, system):
                      for k in range(1, abs(m) + 1))
             out.append(Progression(lam, alpha, abs(m), ok))
     return out
-
-
-def collinear_triple(omega):
-    """Lexicographically first triple of distinct weights (d1, mid, d2)
-    with 2*mid = d1 + d2, or None."""
-    return next(midpoint_triples(omega), None)

@@ -16,7 +16,7 @@ conversions to and from simple-root coordinates are exact.
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from . import linalg
 from .linalg import dot, neg, scale, vec, zero_vec
@@ -426,17 +426,3 @@ def reflection_matrix_table(system):
 def cartan_matrix(system):
     """Entries (i, j) = (alpha_j, alpha_i-check)."""
     return system.int_form.cartan
-
-
-def weyl_group_order(system):
-    """Order of the Weyl group, from the closed-form table per type."""
-    m = system.rank
-    if system.type_label == "A":
-        return factorial(m + 1)
-    if system.type_label in ("B", "C"):
-        return 2 ** m * factorial(m)
-    if system.type_label == "D":
-        return 2 ** (m - 1) * factorial(m)
-    if system.type_label == "E6":
-        return 51840
-    return 2903040

@@ -1,5 +1,5 @@
-"""Wire and file formats: rational strings, root-system JSON, the
-configuration text format, weight-list fixtures and eigenset JSON."""
+"""Wire and file formats: rational strings, weight-list fixtures,
+eigenset JSON and the catalog JSON."""
 
 import json
 from fractions import Fraction
@@ -14,42 +14,6 @@ def rat_to_str(x):
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s):
-    return Fraction(s)
-
-
-def system_to_json(system):
-    return {
-        "type": system.type_label,
-        "rank": system.rank,
-        "simple_roots": [[rat_to_str(c) for c in r] for r in system.simple_roots],
-    }
-
-
-def configuration_to_text(config):
-    lines = [f"dim {config.dim}"]
-    for p in config.points:
-        lines.append(" ".join(rat_to_str(c) for c in p))
-    return "\n".join(lines) + "\n"
-
-
-def configuration_from_text(text):
-    from .affgeom import Configuration
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError("configuration text must start with a 'dim d' header")
-    dim = int(lines[0].split()[1])
-    points = []
-    for ln in lines[1:]:
-        p = vec(Fraction(tok) for tok in ln.split())
-        if len(p) != dim:
-            raise ValueError(f"point {ln!r} does not have dimension {dim}")
-        points.append(p)
-    return Configuration(points)
 
 
 def weight_rows_from_text(text, rank):
@@ -68,14 +32,6 @@ def weight_rows_from_text(text, rank):
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return rows
-
-
-def eigenset_to_json(delta):
-    return {
-        "structure": {"d1": delta.structure.d1, "d2": delta.structure.d2},
-        "delta1": sorted([list(p) for p in delta.factor1]),
-        "delta2": sorted([list(p) for p in delta.factor2]),
-    }
 
 
 EIGENSET_KEYS = ("delta1", "delta2", "structure")
@@ -128,27 +84,12 @@ def eigenset_from_path(path):
 
 
 def catalog_to_json(entries):
-    grouped = {}
-    for e in entries:
-        key = (e.type_label, e.rank)
-        grouped.setdefault(key, []).append(e)
-    out = []
-    for (type_label, rank), group in sorted(grouped.items()):
-        group = sorted(group, key=lambda e: e.weight_index)
-        out.append({
-            "type": type_label,
-            "rank": rank,
-            "weights": [f"w{e.weight_index}" for e in group],
-            "dims": [e.dimension for e in group],
-            "self_dual_forms": [e.self_dual_form for e in group],
-        })
-    return out
-
-
-def separation_report_to_json(report):
-    return {
-        "functional": [rat_to_str(c) for c in report.functional],
-        "constant": rat_to_str(report.constant),
-        "level_counts": {rat_to_str(v): n
-                         for v, n in sorted(report.level_counts.items())},
-    }
+    """The JSON form of the catalog entries of one type and rank."""
+    first = entries[0]
+    return [{
+        "type": first.type_label,
+        "rank": first.rank,
+        "weights": [f"w{e.weight_index}" for e in entries],
+        "dims": [e.dimension for e in entries],
+        "self_dual_forms": [e.self_dual_form for e in entries],
+    }]

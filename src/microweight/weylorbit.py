@@ -10,8 +10,6 @@ input; bools, floats and strings are rejected).  Each step is one call of
 (``rootsystem.IntForm``) and returns Fractions again.
 """
 
-from collections import Counter
-
 from .rootsystem import NotARootError, exact_tuple, exact_weight, int_weight, reflect
 
 ORBIT_CAP = 10 ** 6
@@ -22,41 +20,33 @@ class OrbitTooLargeError(RuntimeError):
 
 
 class WeightSet:
-    """Finite multiset of weights of one root system.
+    """Finite set of weights of one root system.
 
-    Elements are stored in lexicographic order of their exact
+    ``support`` holds the weights in lexicographic order of their exact
     coordinates, so two WeightSets compare bit-exactly.
     """
 
     def __init__(self, system, elements):
         self.system = system
-        if isinstance(elements, Counter):
-            counts = Counter({tuple(k): v for k, v in elements.items()})
-        else:
-            counts = Counter(tuple(e) for e in elements)
-        for v, mult in counts.items():
-            if len(v) != system.ambient_dim:
-                raise ValueError("weight dimension does not match the system")
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-        self.multiplicity = counts
-        self.support = tuple(sorted(counts))
+        members = frozenset(tuple(e) for e in elements)
+        if any(len(v) != system.ambient_dim for v in members):
+            raise ValueError("weight dimension does not match the system")
+        self._members = members
+        self.support = tuple(sorted(members))
 
     def __len__(self):
-        return sum(self.multiplicity.values())
+        return len(self.support)
 
     def __iter__(self):
-        for v in self.support:
-            for _ in range(self.multiplicity[v]):
-                yield v
+        return iter(self.support)
 
     def __contains__(self, v):
-        return tuple(v) in self.multiplicity
+        return tuple(v) in self._members
 
     def __eq__(self, other):
         return (isinstance(other, WeightSet)
                 and self.system == other.system
-                and self.multiplicity == other.multiplicity)
+                and self.support == other.support)
 
     def __repr__(self):
         return f"WeightSet({self.system!r}, {len(self)} elements)"
@@ -74,7 +64,7 @@ def _check_in_weight_lattice(system, w):
 
 
 def orbit(system, w, cap=ORBIT_CAP):
-    """The full Weyl orbit of w as a WeightSet with multiplicity 1 each."""
+    """The full Weyl orbit of w as a WeightSet."""
     return WeightSet(system, orbit_words(system, w, cap))
 
 

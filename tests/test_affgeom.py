@@ -11,14 +11,12 @@ from microweight import (
     build_root_system,
     collinear_triple_count,
     detect_e7_config,
-    is_pm1_in_basis,
     no_three_collinear,
     omega56,
     orbit,
     separation_partition,
 )
-from microweight.affgeom import affine_dimension, omega56_configuration
-from microweight.linalg import invert, vec
+from microweight.linalg import invert, solve_in_basis, vec
 from microweight.minuscule import cube_normal_form
 from microweight.suites import collinearity_suite
 from microweight.weylorbit import fundamental_weight
@@ -34,7 +32,7 @@ def test_configuration_invariants():
     assert square.affine_dimension == 2
     assert square.barycenter == (Fraction(1, 2), Fraction(1, 2))
     assert square.antipodal
-    assert affine_dimension(cfg([(3, 4)])) == 0
+    assert cfg([(3, 4)]).affine_dimension == 0
     assert not cfg([(0, 0), (1, 0), (0, 1)]).antipodal
     with pytest.raises(ValueError):
         Configuration([])
@@ -42,6 +40,12 @@ def test_configuration_invariants():
         Configuration([vec([0, 0]), vec([0, 0])])
     with pytest.raises(ValueError):
         Configuration([vec([0, 0]), vec([0, 0, 1])])
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (True, 0), ("1", 0)])
+def test_configuration_rejects_inexact_coordinates(point):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        Configuration([point])
 
 
 def test_collinear_triple_count_small_cases():
@@ -96,22 +100,6 @@ def test_rank_10_scan_forms_lie_on_spheres(rank_10_scan):
         assert len({sum(x * x for x in p) for p in points}) == 1, check.id
 
 
-def test_is_pm1_in_basis():
-    square = cfg([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    e1, e2 = vec([1, 0]), vec([0, 1])
-    assert is_pm1_in_basis(square, [e1, e2], vec([0, 0]))
-    # cross-polytope: cube witness from the inverse of a +-1 sign matrix
-    cross = cfg([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    sign_matrix = [vec([1, -1]), vec([1, 1])]
-    basis = invert(sign_matrix)
-    assert is_pm1_in_basis(cross, list(basis), vec([0, 0]))
-    # a set containing its own origin can never be all +-1 coordinates
-    with_origin = cfg([(0, 0), (1, 1), (-1, -1), (1, -1)])
-    assert not is_pm1_in_basis(with_origin, [e1, e2], vec([0, 0]))
-    with pytest.raises(ValueError):
-        is_pm1_in_basis(square, [e1, e1], vec([0, 0]))
-
-
 def test_cross_polytope_cube_witness_all_ranks():
     """Rows of the inverse of the triangular +-1 matrix exhibit every
     cross-polytope as a cube-vertex subset."""
@@ -125,7 +113,8 @@ def test_cross_polytope_cube_witness_all_ranks():
         sign_matrix = [vec([1 if j >= i else -1 for j in range(m)])
                        for i in range(m)]
         basis = invert(sign_matrix)
-        assert is_pm1_in_basis(cfg(pts), list(basis), vec([0] * m))
+        for p in pts:
+            assert set(solve_in_basis(basis, p)) <= {1, -1}
 
 
 def test_omega56_shape():
@@ -134,7 +123,7 @@ def test_omega56_shape():
     assert all(len(p) == 7 for p in pts)
     assert all(isinstance(x, int) for p in pts for x in p)
     assert {tuple(-x for x in p) for p in pts} == set(pts)
-    config = omega56_configuration()
+    config = Configuration(omega56())
     assert config.affine_dimension == 7
     assert config.antipodal
     assert collinear_triple_count(config) == 0
@@ -173,7 +162,7 @@ def test_separation_partition_rejections():
 
 
 def test_detect_on_omega_itself():
-    config = omega56_configuration()
+    config = Configuration(omega56())
     found = detect_e7_config(config)
     assert found is not None
     image = {found.apply(p) for p in config.points}
@@ -193,7 +182,7 @@ def test_detect_rejects_wrong_inputs():
 
 
 def test_detect_on_affine_image(rng):
-    config = omega56_configuration()
+    config = Configuration(omega56())
     rows, shift = random_affine_map(rng, 7)
     moved = Configuration([apply_affine(rows, shift, p) for p in config.points])
     found = detect_e7_config(moved)
@@ -204,7 +193,7 @@ def test_detect_on_affine_image(rng):
 
 def test_detect_node_cap_raises():
     with pytest.raises(DetectionInconclusive):
-        detect_e7_config(omega56_configuration(), node_cap=0)
+        detect_e7_config(Configuration(omega56()), node_cap=0)
 
 
 def test_affine_invariance_of_collinearity(rng):

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from microweight import build_delta, serialize
 from microweight.cli import main
 from microweight.suites import default_fixture_path
 
@@ -157,7 +156,8 @@ def test_config_keys_take_effect(runner, tmp_path):
 
 
 def write_delta(tmp_path, d1, d2, name="delta.json"):
-    obj = serialize.eigenset_to_json(build_delta(d1, d2))
+    obj = {"structure": {"d1": len(d1[0]), "d2": len(d2[0])},
+           "delta1": [list(p) for p in d1], "delta2": [list(p) for p in d2]}
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
@@ -288,3 +288,39 @@ def test_frobmodel_line_set_fails_on_a_lost_triple(runner, tmp_path, monkeypatch
     (check,) = json.loads(result.output)["checks"]
     assert check["status"] == "fail"
     assert check["witness"] == 1
+
+
+def run_e7_projection(runner):
+    result = invoke(runner, "--json", "verify-lemmas", "--suite", "4.6")
+    return result.exit_code, {c["id"]: c for c in json.loads(result.output)["checks"]}
+
+
+def test_e7_projection_fails_on_a_lost_fiber(runner, monkeypatch):
+    from microweight import frobmodel
+
+    check = frobmodel.e7_fiber_projection_check
+    monkeypatch.setattr(frobmodel, "e7_fiber_projection_check",
+                        lambda delta: check(delta)[1:])
+    exit_code, checks = run_e7_projection(runner)
+    assert exit_code == 1
+    assert checks["01-fiber-configs"]["status"] == "fail"
+    assert checks["01-fiber-configs"]["witness"] == "expected 4 fiber configurations, got 3"
+    assert checks["02-difference-sets"]["status"] == "pass"
+
+
+def test_e7_projection_fails_on_a_lost_difference(runner, monkeypatch):
+    from microweight import frobmodel
+
+    check = frobmodel.e7_fiber_projection_check
+
+    def lost_difference(delta):
+        (b2, mapping, diffs), *rest = check(delta)
+        return [(b2, mapping, diffs - {max(diffs)}), *rest]
+
+    monkeypatch.setattr(frobmodel, "e7_fiber_projection_check", lost_difference)
+    exit_code, checks = run_e7_projection(runner)
+    assert exit_code == 1
+    assert checks["01-fiber-configs"]["status"] == "pass"
+    assert checks["02-difference-sets"]["status"] == "fail"
+    assert checks["02-difference-sets"]["witness"] == {
+        "fiber": [-1, -1], "size": 938, "expected": 939}

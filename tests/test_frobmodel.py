@@ -28,12 +28,8 @@ def test_block_structure_slicing():
     s = BlockStructure(2, 3)
     assert s.total_dim == 6
     p = (1, 10, 20, 30, 40, 50)
-    assert s.scalar(p) == 1
     assert s.block1(p) == (10, 20)
     assert s.block2(p) == (30, 40, 50)
-    assert s.assemble(1, (10, 20), (30, 40, 50)) == p
-    with pytest.raises(StructureError):
-        s.assemble(1, (10,), (30, 40, 50))
 
 
 def test_build_delta_product():
@@ -180,8 +176,7 @@ def test_fiber_constancy():
 
 def test_e7_fiber_projection():
     delta = build_delta(sorted(omega56()), PM1)
-    verdict, found = e7_fiber_projection_check(delta)
-    assert verdict.ok
+    found = e7_fiber_projection_check(delta)
     assert len(found) == 2
     for b2, mapping, diffs in found:
         assert mapping is not None

@@ -66,11 +66,6 @@ def test_invert_is_an_inverse(n, data):
             assert prod[j][i] == (1 if i == j else 0)
 
 
-def test_is_integral():
-    assert linalg.is_integral(linalg.vec([1, -3, 0]))
-    assert not linalg.is_integral(linalg.vec([Fraction(1, 2), 1]))
-
-
 @pytest.mark.parametrize("op, expected", [(linalg.add, (4, 6)), (linalg.sub, (-2, -2)),
                                           (linalg.dot, 11)])
 def test_add_sub_reject_different_lengths(op, expected):

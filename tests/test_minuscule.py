@@ -5,14 +5,14 @@ import pytest
 
 from microweight import (
     build_root_system,
-    collinear_triple,
     cube_normal_form,
     is_minuscule,
     minuscule_catalog,
+    orbit,
     pairing,
     saturation_progressions,
-    weight_system,
 )
+from microweight.affgeom import midpoint_triples
 from microweight.linalg import vec
 from microweight.rootsystem import RootSystemError
 from microweight.weylorbit import WeightSet, fundamental_weight
@@ -58,10 +58,9 @@ def test_catalog_contents():
 
 
 def test_catalog_d3_flag():
-    with pytest.raises(RootSystemError):
+    # D_3 aliases A_3 and stays out of the catalog
+    with pytest.raises(RootSystemError, match="alias of A_3"):
         minuscule_catalog("D", 3)
-    entries = minuscule_catalog("D", 3, include_d3=True)
-    assert [(e.weight_index, e.dimension) for e in entries] == [(1, 6), (2, 4), (3, 4)]
 
 
 def test_self_dual_forms_spin_pattern():
@@ -92,15 +91,15 @@ def test_catalog_exhaustive_against_is_minuscule():
 
 def test_weight_system_closed_forms():
     b2 = build_root_system("B", 2)
-    ws = weight_system(b2, fundamental_weight(b2, 2))
+    ws = orbit(b2, fundamental_weight(b2, 2))
     assert set(ws.support) == {(s1 * HALF, s2 * HALF)
                                for s1, s2 in product((1, -1), repeat=2)}
     c3 = build_root_system("C", 3)
-    ws = weight_system(c3, fundamental_weight(c3, 1))
+    ws = orbit(c3, fundamental_weight(c3, 1))
     units = {vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])}
     assert set(ws.support) == units | {tuple(-c for c in u) for u in units}
     d4 = build_root_system("D", 4)
-    ws = weight_system(d4, fundamental_weight(d4, 4))
+    ws = orbit(d4, fundamental_weight(d4, 4))
     expected = {tuple(s * HALF for s in signs)
                 for signs in product((1, -1), repeat=4)
                 if sum(1 for s in signs if s == -1) % 2 == 0}
@@ -111,14 +110,18 @@ def test_weight_system_sizes_match_catalog_dimensions():
     for label, rank in [("A", 5), ("B", 5), ("C", 5), ("D", 5), ("E6", 6), ("E7", 7)]:
         system = build_root_system(label, rank)
         for e in minuscule_catalog(label, rank):
-            ws = weight_system(system, fundamental_weight(system, e.weight_index))
+            ws = orbit(system, fundamental_weight(system, e.weight_index))
             assert len(ws) == e.dimension
 
 
 def test_weight_system_rejects_non_minuscule():
+    # the orbit of a non-minuscule weight is not its whole weight system:
+    # it misses the weights that saturation requires
     c3 = build_root_system("C", 3)
-    with pytest.raises(ValueError):
-        weight_system(c3, fundamental_weight(c3, 3))
+    w3 = fundamental_weight(c3, 3)
+    assert not is_minuscule(c3, w3)
+    out = saturation_progressions(orbit(c3, w3), c3)
+    assert not all(p.present for p in out)
 
 
 def test_cube_normal_forms():
@@ -158,26 +161,29 @@ def test_saturation_progressions():
     assert any(p.start == alpha and p.root == alpha for p in twos)
 
     e7 = build_root_system("E7", 7)
-    ws = weight_system(e7, fundamental_weight(e7, 7))
+    ws = orbit(e7, fundamental_weight(e7, 7))
     out = saturation_progressions(ws, e7)
     assert all(p.length <= 1 for p in out)
     assert all(p.present for p in out)
 
 
 def test_collinear_triple():
+    def first_triple(points):
+        return next(midpoint_triples(points), None)
+
     a1 = build_root_system("A", 1)
     alpha = a1.simple_roots[0]
     neg_alpha = tuple(-c for c in alpha)
-    triple = collinear_triple([alpha, a1.zero(), neg_alpha])
+    triple = first_triple([alpha, a1.zero(), neg_alpha])
     assert triple == (neg_alpha, a1.zero(), alpha)
 
     b3 = build_root_system("B", 3)
-    assert collinear_triple(weight_system(b3, fundamental_weight(b3, 3))) is None
+    assert first_triple(orbit(b3, fundamental_weight(b3, 3))) is None
 
     e7 = build_root_system("E7", 7)
-    ws = weight_system(e7, fundamental_weight(e7, 7))
+    ws = orbit(e7, fundamental_weight(e7, 7))
     # oracle-backed: the 56-point system has no collinear triple at all
-    assert collinear_triple(ws) is None
+    assert first_triple(ws) is None
     # independent confirmation by exhaustive scan over all C(56,3) triples
     pts = ws.support
     found = False

@@ -11,7 +11,6 @@ from microweight import (
     orbit,
     orbit_words,
     to_simple_root_coords,
-    weyl_group_order,
 )
 from microweight.linalg import dot, mat_vec, vec
 from microweight.weylorbit import (
@@ -50,7 +49,7 @@ def test_e7_orbit_size_and_symmetry():
     assert {tuple(-c for c in x) for x in support} == support
     norms = {dot(x, x) for x in support}
     assert len(norms) == 1
-    assert weyl_group_order(system) % len(orb) == 0
+    assert 2903040 % len(orb) == 0  # |W(E7)| = 2^10 3^4 5 7
 
 
 def test_orbit_closure_under_simple_reflections():
@@ -134,11 +133,13 @@ def test_empty_chain_and_non_root_step():
 
 def test_weight_set_semantics():
     system = build_root_system("A", 1)
-    a = WeightSet(system, [(Fraction(1), Fraction(-1))] * 2)
-    b = WeightSet(system, [(Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1))])
-    assert a == b and len(a) == 2
-    c = WeightSet(system, [(Fraction(1), Fraction(-1))])
-    assert a != c
+    x, y = (Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))
+    a = WeightSet(system, [x] * 2)
+    b = WeightSet(system, [x])
+    assert a == b and len(a) == 1 and list(a) == [x]
+    c = WeightSet(system, [x, y, x])
+    assert a != c and len(c) == 2 and list(c) == [y, x]
+    assert y in c and [1, -1] in c and (0, 0) not in c
     with pytest.raises(ValueError):
         WeightSet(system, [(1, 2, 3)])
 
