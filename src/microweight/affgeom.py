@@ -25,6 +25,13 @@ class DetectionInconclusive(RuntimeError):
     """Backtracking search hit the node-expansion cap before deciding."""
 
 
+def _clear_denominators(points):
+    """``(den, ints)``: the least common denominator of all coordinates
+    and each point times ``den`` as a tuple of ints, in the same order."""
+    den = lcm(*{x.denominator for p in points for x in p})
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
+
 class Configuration:
     """A finite set of distinct rational points of common dimension.
 
@@ -46,8 +53,7 @@ class Configuration:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points have inconsistent dimensions")
-        den = lcm(*{x.denominator for p in pts for x in p})
-        ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+        den, ints = _clear_denominators(pts)
         if len(set(ints)) != len(ints):
             raise ValueError("configuration points must be distinct")
         # scaling by den > 0 keeps the lexicographic order
@@ -126,15 +132,24 @@ def no_three_collinear(config):
 
 def midpoint_triples(points):
     """Every triple of distinct points (d1, mid, d2) with 2*mid = d1 + d2,
-    in sorted (d1, mid) order; (d2, mid, d1) is listed as well."""
+    in sorted (d1, mid) order; (d2, mid, d1) is listed as well.
+
+    The points are cleared to one common denominator and packed into
+    ints (``linalg.pack_points``).  2*mid and d1 + d2 are sums of two
+    points, where the packing is linear and one-to-one, so 2*mid = d1 + d2
+    is one int equation: for each d1 the doubled keys that equal d1 plus
+    some point's key are found by one set intersection."""
     members = sorted(set(map(tuple, points)))
-    member_set = set(members)
-    for d1 in members:
-        for mid in members:
-            if mid != d1:
-                d2 = sub(add(mid, mid), d1)
-                if d2 in member_set:
-                    yield d1, mid, d2
+    keys, _ = linalg.pack_points(_clear_denominators(members)[1])
+    index = {k: i for i, k in enumerate(keys)}
+    doubled = {2 * k: j for j, k in enumerate(keys)}
+    for i, a in enumerate(keys):
+        d1 = members[i]
+        # the packing keeps the order, so sorted sums list mid in order
+        for s in sorted(doubled.keys() & map(a.__add__, keys)):
+            j = doubled[s]
+            if j != i:
+                yield d1, members[j], members[index[s - a]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,16 @@ they run integer row operations on int rows (``rank`` clears the
 denominators of each row first), and ``invert`` is ``int_inverse`` on
 the rows cleared of denominators.  ``_eliminate`` keeps the Fraction
 elimination of ``solve_in_basis``.
+
+``pack_points`` maps each int point of a set to one Python int, so that
+the O(n^2) pair loops of the eigenvalue-lattice model add, subtract and
+hash single ints instead of tuples; ``unpack`` turns back into a tuple
+only what a function returns.
 """
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -55,6 +61,34 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} and {len(v)}")
     return sum(map(operator.mul, u, v))
+
+
+def pack_points(points):
+    """``(keys, unpack)`` for a sequence of int points of one dimension.
+
+    ``keys[i]`` reads ``points[i]`` as a balanced base-B numeral, first
+    coordinate most significant, with ``B = 4 * M + 1`` and ``M`` the
+    largest absolute coordinate.  Every int point whose coordinates have
+    absolute value at most ``2 * M``, such as the sum or the difference
+    of two of the points, is a balanced numeral in base B, so on those
+    points the map is one-to-one and keeps the lexicographic order, and
+    it is linear: the key of ``a + b`` is ``key(a) + key(b)``.
+    ``unpack`` is the inverse on those points.
+    """
+    points = list(points)
+    dim = len(points[0]) if points else 0
+    bound = 2 * max(map(abs, chain.from_iterable(points)), default=0)
+    base = 2 * bound + 1
+    powers = [base ** e for e in range(dim - 1, -1, -1)]
+    keys = [sum(map(operator.mul, p, powers)) for p in points]
+    # adding the all-``bound`` numeral makes every digit nonnegative
+    offset = bound * sum(powers)
+
+    def unpack(key):
+        key += offset
+        return tuple([key // p % base - bound for p in powers])
+
+    return keys, unpack
 
 
 def mat_vec(rows, v):

@@ -172,7 +172,10 @@ def verify_e7_suite(fixture_path=None):
     return report
 
 
-def _cube_forms_for_scan(max_rank, vector_rank=10):
+def _cube_forms_for_scan(max_rank):
+    """The cube normal forms to max_rank; the vector representations
+    (C_m and D_m at w1) always go up to rank 10 at least."""
+    top = max(10, max_rank)
     forms = []
     for m in range(2, max_rank + 1):
         forms.append(minuscule.cube_normal_form("B", m, m))
@@ -181,9 +184,9 @@ def _cube_forms_for_scan(max_rank, vector_rank=10):
         forms.append(minuscule.cube_normal_form("D", m, m - 1))
     for m in range(3, max_rank + 1, 2):
         forms.append(minuscule.cube_normal_form("A", m, (m + 1) // 2))
-    for m in range(2, max(vector_rank, max_rank) + 1):
+    for m in range(2, top + 1):
         forms.append(minuscule.cube_normal_form("C", m, 1))
-    for m in range(4, max(vector_rank, max_rank) + 1):
+    for m in range(4, top + 1):
         forms.append(minuscule.cube_normal_form("D", m, 1))
     return forms
 
@@ -270,10 +273,12 @@ def e7_projection_suite():
     return report
 
 
-def _midpoint_count(points):
-    """Ordered (a, m, c) in the set with 2m = a + c, a = m = c included."""
+def _midpoint_pairs(points):
+    """Ordered (a, m) in the set with 2m - a in the set, a = m included:
+    one per midpoint triple (a, m, 2m - a), repeated points allowed."""
     pts = set(points)
-    return sum(tuple(2 * y - x for x, y in zip(a, m)) in pts for a in pts for m in pts)
+    return [(a, m) for a in pts for m in pts
+            if tuple(2 * y - x for x, y in zip(a, m)) in pts]
 
 
 def frobmodel_suite(delta, op):
@@ -306,16 +311,24 @@ def frobmodel_suite(delta, op):
             # an independent count: a triple of the product is a midpoint
             # triple in each factor, repeated points allowed, and only the
             # |delta| triples a = m = c are not distinct
-            expected = (_midpoint_count(delta.factor1) * _midpoint_count(delta.factor2)
-                        - len(delta))
+            expected = (len(_midpoint_pairs(delta.factor1))
+                        * len(_midpoint_pairs(delta.factor2)) - len(delta))
             return len(lines) == expected, len(lines)
 
         _timed(report, "line-set", "ordered midpoint triples enumerated", check)
     elif op == "b-set":
         def check():
             b = frobmodel.b_set(delta)
-            ok = frobmodel.inverse_closed(b) if b else True
-            return ok, sorted(list(map(list, b)))
+            # recomputed from the factors (Lemma 2.8): a line triple of the
+            # product is a midpoint triple in each factor, so its offset
+            # endpoint - midpoint is (0, x, y) with x an offset a - m of
+            # factor 1, y one of factor 2 (0 from a = m), not both 0
+            offsets1, offsets2 = (
+                {tuple(x - y for x, y in zip(a, m)) for a, m in _midpoint_pairs(f)}
+                for f in (delta.factor1, delta.factor2))
+            expected = {(0,) + x + y for x in offsets1 for y in offsets2}
+            expected.discard((0,) * delta.structure.total_dim)
+            return b == expected, sorted(list(map(list, b)))
 
         _timed(report, "b-set", "difference set is negation-closed", check)
     else:

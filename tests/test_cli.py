@@ -192,7 +192,8 @@ def test_frobmodel_level_sets_fails_on_wrong_counts(runner, tmp_path, monkeypatc
     counts = frobmodel._pair_sum_counts
 
     def off_by_one(delta):
-        return Counter({eta: n + 1 for eta, n in counts(delta).items()})
+        packed, unpack = counts(delta)
+        return Counter({key: n + 1 for key, n in packed.items()}), unpack
 
     monkeypatch.setattr(frobmodel, "_pair_sum_counts", off_by_one)
     path = write_delta(tmp_path, [(1,), (-1,)], [(1,), (-1,)])
@@ -218,6 +219,40 @@ def test_frobmodel_line_and_b_set(runner, tmp_path):
     assert result.exit_code == 0
     obj = json.loads(result.output)
     assert obj["checks"][0]["witness"] == []
+
+
+def test_frobmodel_b_set_fails_on_a_lost_difference(runner, tmp_path, monkeypatch):
+    from microweight import frobmodel
+
+    b_set = frobmodel.b_set
+
+    def lost_difference(delta):
+        b = b_set(delta)
+        return b - {max(b)}
+
+    monkeypatch.setattr(frobmodel, "b_set", lost_difference)
+    path = write_delta(tmp_path, [(0,), (1,), (2,)], [(1, 1), (-1, -1)])
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "b-set")
+    assert result.exit_code == 1
+    (check,) = json.loads(result.output)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == [[0, -1, 0, 0]]
+
+
+def test_frobmodel_rejects_a_product_over_the_size_limit(runner, tmp_path):
+    from microweight.frobmodel import MAX_PRODUCT_SIZE
+
+    assert MAX_PRODUCT_SIZE + 1 == 25 * 41 and MAX_PRODUCT_SIZE == 32 * 32
+    line = [(i,) for i in range(41)]
+    path = write_delta(tmp_path, line[:25], line)
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "level-sets")
+    assert result.exit_code == 2
+    assert "product of 25 x 41 = 1025 points exceeds the limit of 1024" in result.output
+    # a product at the limit runs: the check fails (the lines are not
+    # negation-closed), which is exit 1, not an input error
+    path = write_delta(tmp_path, line[:32], line[:32], name="at-limit.json")
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "lambda-sq")
+    assert result.exit_code == 1
 
 
 def test_frobmodel_input_errors(runner, tmp_path):

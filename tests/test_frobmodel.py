@@ -19,6 +19,7 @@ from microweight import (
 )
 from microweight.frobmodel import sum_set
 from microweight.minuscule import cube_normal_form
+from microweight.suites import load_oracle_counts
 
 PM1 = ((1,), (-1,))
 SQUARE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -118,6 +119,14 @@ def test_invariant_level_sets_square():
 
     single = build_delta([(3,)], [(0,)])
     assert invariant_level_sets(single) == {1: {(2, 6, 0)}}
+
+
+def test_e7_square_level_sets_match_the_frozen_profile():
+    """The 224-point product, the largest any suite builds, against the
+    profile brute-forced by tools/oracle_counts.py."""
+    levels = invariant_level_sets(build_delta(sorted(omega56()), SQUARE))
+    profile = {str(c): len(s) for c, s in levels.items()}
+    assert profile == load_oracle_counts()["omega56_x_square_level_sets"]
 
 
 def test_weil_involution():

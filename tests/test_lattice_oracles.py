@@ -105,13 +105,39 @@ def test_configuration_invariants_match_fraction_computations(pts):
 small_int_sets = st.integers(1, 3).flatmap(
     lambda dim: st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=10))
 
+BIG = 2 ** 64
+wide_ints = st.integers(-3, 3) | st.integers(BIG, 4 * BIG) | st.integers(-4 * BIG, -BIG)
 
-@settings(max_examples=200)
-@given(point_sets() | small_int_sets)
+
+@st.composite
+def progression_sets(draw, rational=False):
+    """Int or Fraction point sets in dimensions 0-4, with coordinates
+    past 2**64 and planted progressions 2b - a."""
+    dim = draw(st.integers(0, 4))
+    pts = draw(st.lists(st.tuples(*[wide_ints] * dim), min_size=1, max_size=5,
+                        unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple(2 * y - x for x, y in zip(a, b)))
+    if rational:
+        den = draw(st.integers(1, 6))
+        pts = [tuple(Fraction(x, den) for x in p) for p in pts]
+    return pts
+
+
+@settings(max_examples=300)
+@given(point_sets() | small_int_sets | progression_sets() | progression_sets(rational=True))
+@example([(0, 0)])
+@example([()])
+@example([(Fraction(1, 2),), (Fraction(1, 3),), (Fraction(1, 6),), (Fraction(0),)])
 def test_midpoint_triples_match_all_ordered_triples(pts):
     expected = sorted((a, b, c) for a, b, c in permutations(set(pts), 3)
                       if all(2 * y == x + z for x, y, z in zip(a, b, c)))
-    assert list(midpoint_triples(pts)) == expected
+    got = list(midpoint_triples(pts))
+    assert got == expected
+    # the triples are made of the given point objects
+    given_ids = {id(p) for p in pts}
+    assert all(id(p) in given_ids for triple in got for p in triple)
 
 
 matrices = st.integers(0, 5).flatmap(
