@@ -5,31 +5,29 @@ Covers collinearity scans, the separating hyperplane partition of the
 to that weight system in four stages: size, dimension and antipodality;
 the row profile of the hat matrix, an affine invariant; backtracking on
 equal hat-matrix entries; and an integer verify of the assembled map.
+
+Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
+in every coordinate, never a coerced float), and point sets are cleared
+to one common denominator by ``linalg.clear_denominators``, so the scans
+and the detection run on int tuples.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import linalg
-from .linalg import add, dot, mat_vec, neg, scale, sub, vec
-from .rootsystem import (as_fractions, build_root_system, exact_tuple, int_points,
-                         int_weight, to_simple_root_coords)
+from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale, sub, vec
+from .rootsystem import (as_fractions, build_root_system, int_points, int_weight,
+                         to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
 
 
 class DetectionInconclusive(RuntimeError):
     """Backtracking search hit the node-expansion cap before deciding."""
-
-
-def _clear_denominators(points):
-    """``(den, ints)``: the least common denominator of all coordinates
-    and each point times ``den`` as a tuple of ints, in the same order."""
-    den = lcm(*{x.denominator for p in points for x in p})
-    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
 class Configuration:
@@ -47,13 +45,14 @@ class Configuration:
     """
 
     def __init__(self, points):
-        pts = [vec(exact_tuple(p)) for p in points]
-        if not pts:
+        points = [tuple(p) for p in points]
+        den, ints = clear_denominators(points)
+        if not ints:
             raise ValueError("a configuration needs at least one point")
-        dim = len(pts[0])
-        if any(len(p) != dim for p in pts):
+        dim = len(ints[0])
+        if any(len(q) != dim for q in ints):
             raise ValueError("points have inconsistent dimensions")
-        den, ints = _clear_denominators(pts)
+        pts = list(map(vec, points))
         if len(set(ints)) != len(ints):
             raise ValueError("configuration points must be distinct")
         # scaling by den > 0 keeps the lexicographic order
@@ -140,7 +139,7 @@ def midpoint_triples(points):
     is one int equation: for each d1 the doubled keys that equal d1 plus
     some point's key are found by one set intersection."""
     members = sorted(set(map(tuple, points)))
-    keys, _ = linalg.pack_points(_clear_denominators(members)[1])
+    keys, _ = linalg.pack_points(clear_denominators(members)[1])
     index = {k: i for i, k in enumerate(keys)}
     doubled = {2 * k: j for j, k in enumerate(keys)}
     for i, a in enumerate(keys):
@@ -162,11 +161,9 @@ def omega56():
     simple-root coordinates so that every entry is an integer."""
     system = build_root_system("E7", 7)
     orb = orbit(system, fundamental_weight(system, 7))
-    pts = []
-    for x in orb.support:
-        coords = to_simple_root_coords(system, scale(2, x))
-        assert all(c.denominator == 1 for c in coords)
-        pts.append(tuple(int(c) for c in coords))
+    den, pts = clear_denominators(to_simple_root_coords(system, scale(2, x))
+                                  for x in orb.support)
+    assert den == 1
     return frozenset(pts)
 
 
@@ -197,7 +194,7 @@ class SeparationReport:
     level_counts: dict       # functional value -> number of weights
 
     def evaluate(self, x):
-        return dot(self.functional, vec(x)) + self.constant
+        return dot(self.functional, exact_tuple(x)) + self.constant
 
 
 def separation_partition(weights, w):
@@ -213,7 +210,7 @@ def separation_partition(weights, w):
     # both supports are sorted, so equal tuples mean equal sets
     if weights.support != support:
         raise ValueError("weights must be the minuscule E7 weight system")
-    w = vec(w)
+    w = exact_tuple(w)
     if w not in weights:
         raise ValueError(f"{w} is not an element of the weight system")
     form = build_root_system("E7", 7).int_form
@@ -238,7 +235,7 @@ class AffineMap:
     translation: tuple  # length 7
 
     def apply(self, x):
-        return add(mat_vec(self.matrix, vec(x)), self.translation)
+        return add(mat_vec(self.matrix, exact_tuple(x)), self.translation)
 
 
 def _hat(points, cols):

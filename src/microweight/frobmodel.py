@@ -26,10 +26,10 @@ from .linalg import pack_points, sub
 
 
 # The largest product build_delta accepts.  At 1024 points each CLI
-# operation takes at most 3.6 s and 180 MB peak RSS (Python 3.11, shared
-# 2-core x86-64 host): the slowest are level-sets on a product whose 525k
-# pairwise sums are all distinct and b-set on a 1024-point progression.
-# The pair loops grow as the square of the product size.
+# operation takes at most 4.6 s and 90 MB peak RSS (Python 3.11, shared
+# 2-core x86-64 host): the slowest is b-set on a 1024-point progression,
+# the largest level-sets on a product whose 525k pairwise sums are all
+# distinct.  The pair loops grow as the square of the product size.
 MAX_PRODUCT_SIZE = 1024
 
 
@@ -185,7 +185,7 @@ def b_set(delta):
     """Differences endpoint-minus-midpoint over all line triples; closed
     under negation by construction."""
     out = set()
-    for d1, mid, d2 in line_set(delta):
+    for d1, mid, d2 in midpoint_triples(delta.elements):
         out.add(sub(d1, mid))
         out.add(sub(d2, mid))
     return out
@@ -212,7 +212,7 @@ def fiber_constancy_check(delta):
             raise StructureError(
                 f"second factor contains a collinear triple: {witness}")
     violations = []
-    for d1, mid, d2 in line_set(delta):
+    for d1, mid, d2 in midpoint_triples(delta.elements):
         p = s.block2(mid)
         if s.block2(d1) != p or s.block2(d2) != p:
             violations.append((d1, mid, d2))

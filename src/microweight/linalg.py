@@ -5,11 +5,13 @@ vectors.  All dimensions in this package stay below ~10, so plain Gaussian
 elimination is entirely adequate; there is deliberately no floating point
 anywhere.
 
-``rank``, ``independent_rows`` and ``int_inverse`` are fraction-free:
-they run integer row operations on int rows (``rank`` clears the
-denominators of each row first), and ``invert`` is ``int_inverse`` on
-the rows cleared of denominators.  ``_eliminate`` keeps the Fraction
-elimination of ``solve_in_basis``.
+``clear_denominators`` is the one boundary from exact rationals to ints:
+it rejects any entry that is not an int or a Fraction (``exact_tuple``)
+and writes the rows as int rows over one common denominator.  The
+elimination is fraction-free, on those int rows: ``independent_rows``
+and ``int_inverse`` run integer row operations, and ``rank``,
+``invert`` and ``solve_in_basis`` clear the denominators of their input
+and call them.
 
 ``pack_points`` maps each int point of a set to one Python int, so that
 the O(n^2) pair loops of the eigenvalue-lattice model add, subtract and
@@ -23,6 +25,27 @@ from itertools import chain
 from math import gcd, lcm
 
 ZERO = Fraction(0)
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def exact_tuple(values):
+    """The values as a tuple; the type of each must be int or Fraction,
+    so a bool, a float or a string is rejected."""
+    values = tuple(values)
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise ValueError(f"coordinate {bad!r} is not an int or a Fraction")
+    return values
+
+
+def clear_denominators(rows, den=1):
+    """``(d, ints)``: ``d`` is the least common multiple of ``den`` and
+    the denominators of every entry, and ``ints`` holds each row times
+    ``d`` as a tuple of ints, in the same order.  Every entry must be an
+    int or a Fraction (``exact_tuple``)."""
+    rows = [exact_tuple(r) for r in rows]
+    d = lcm(den, *{x.denominator for r in rows for x in r})
+    return d, [tuple([x.numerator * (d // x.denominator) for x in r]) for r in rows]
 
 
 def vec(entries):
@@ -95,36 +118,6 @@ def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
 
 
-def _eliminate(rows):
-    """Row-reduce a mutable matrix in place; returns the pivot columns."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _integer_row(v):
-    """The row scaled by the least common denominator of its entries."""
-    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in v))
-    return [x.numerator * (m // x.denominator) for x in v]
-
-
 def independent_rows(rows, k=None):
     """Indices of the int rows that are independent of the rows before
     them, up to the first k.  Fraction-free: each row is reduced against
@@ -148,8 +141,8 @@ def independent_rows(rows, k=None):
 
 def rank(vectors):
     """Rank over Q of the span of the given vectors, from the independent
-    rows among their integer multiples."""
-    rows = [_integer_row(v) for v in vectors]
+    rows among them cleared of denominators."""
+    _, rows = clear_denominators(vectors)
     return len(independent_rows(rows, len(rows[0]) if rows else None))
 
 
@@ -157,24 +150,25 @@ def solve_in_basis(basis, target):
     """Express ``target`` as a rational combination of independent ``basis``
     vectors.
 
-    Returns the coefficient tuple, or None when target is outside the span.
+    Returns the coefficient tuple, or None when target is outside the span;
+    raises ValueError when the basis is dependent.  Fraction-free: on k
+    coordinates where the k basis vectors are independent the coefficients
+    solve a square int system (``int_inverse``), and an int check on every
+    coordinate decides whether they reach the target.
     """
-    basis = list(basis)
-    k = len(basis)
-    n = len(target)
-    # augmented system: columns are the basis vectors, rhs is the target
-    rows = [[Fraction(b[i]) for b in basis] + [Fraction(target[i])] for i in range(n)]
-    pivots = _eliminate(rows)
-    coeffs = [ZERO] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            return None  # pivot in the rhs column: inconsistent
-        coeffs[c] = rows[r][k]
-    # consistency of the remaining rows
-    for r in range(len(pivots), n):
-        if rows[r][k] != 0:
-            return None
-    return tuple(coeffs)
+    _, (*basis, target) = clear_denominators([*basis, target])
+    if any(len(b) != len(target) for b in basis):
+        raise ValueError("basis and target lengths differ")
+    coords = independent_rows(list(zip(*basis)), len(basis))
+    if len(coords) < len(basis):
+        raise ValueError("basis vectors are linearly dependent")
+    # e * coeffs = adj . target on coords, with e = |det| of that block
+    e, adj = int_inverse([[b[c] for b in basis] for c in coords])
+    scaled = mat_vec(adj, [target[c] for c in coords])
+    image = [sum(x * b[i] for x, b in zip(scaled, basis)) for i in range(len(target))]
+    if image != [e * t for t in target]:
+        return None
+    return tuple(Fraction(x, e) for x in scaled)
 
 
 def int_inverse(rows):
@@ -205,13 +199,12 @@ def int_inverse(rows):
 
 
 def invert(rows):
-    """Inverse of a square rational matrix given as rows: with A = D^-1 A'
-    for the int rows A' = D A (D the diagonal of row denominators),
-    A^-1 = A'^-1 D."""
-    scales = [lcm(*(Fraction(x).denominator for x in row)) for row in rows]
-    d, adj = int_inverse([[int(Fraction(x) * m) for x in row]
-                          for row, m in zip(rows, scales)])
-    return tuple(tuple(Fraction(a * m, d) for a, m in zip(row, scales)) for row in adj)
+    """Inverse of a square rational matrix given as rows: with m the
+    common denominator of all entries and the int rows A' = m A,
+    A^-1 = m adj(A') / det(A')."""
+    m, ints = clear_denominators(rows)
+    d, adj = int_inverse(ints)
+    return tuple(tuple(Fraction(m * a, d) for a in row) for row in adj)
 
 
 def solve_square(rows, rhs):

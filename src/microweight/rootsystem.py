@@ -9,8 +9,9 @@ are rejected with a ValueError instead of being coerced.  Internally the
 arithmetic runs on ints: a weight x is written X / D, with X an int tuple
 and D a multiple of the common denominator ``rd`` of the root coordinates,
 and every root alpha is kept once as the int tuple rd * alpha (see
-``IntForm``).  Results become Fractions only where they are returned;
-conversions to and from simple-root coordinates are exact.
+``IntForm``).  Every such scaling, and the rejection of inexact input, is
+``linalg.clear_denominators``.  Results become Fractions only where they
+are returned; conversions to and from simple-root coordinates are exact.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from . import linalg
-from .linalg import dot, neg, scale, vec, zero_vec
+from .linalg import clear_denominators, dot, exact_tuple, neg, scale, vec, zero_vec
 
 TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7")
 
@@ -36,23 +37,6 @@ class NotARootError(ValueError):
 
 class SpanError(ValueError):
     """A vector lies outside the rational span of the simple roots."""
-
-
-def exact_tuple(values):
-    """The values as a tuple; each must be an int or a Fraction."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValueError(f"coordinate {v!r} is not an int or a Fraction")
-    return values
-
-
-def _scaled_ints(values, den=1):
-    """(X, D) with values = X / D: D is the least common multiple of
-    ``den`` and the denominators, X a tuple of ints."""
-    values = exact_tuple(values)
-    d = lcm(den, *(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 @lru_cache(maxsize=4096)
@@ -93,11 +77,8 @@ class IntForm:
     """
 
     def __init__(self, system):
-        self.rd = rd = lcm(*(c.denominator for r in system.roots for c in r))
-        self.root = {}
-        for r in system.roots:
-            big = tuple(c.numerator * (rd // c.denominator) for c in r)
-            self.root[r] = (big, dot(big, big))
+        self.rd, ints = clear_denominators(system.roots)
+        self.root = {r: (big, dot(big, big)) for r, big in zip(system.roots, ints)}
         self.all = tuple(self.root[r] for r in system.roots)
         self.positive = self.all[:len(system.positive_roots)]
         self.simple = tuple(self.root[a] for a in system.simple_roots)
@@ -107,13 +88,11 @@ class IntForm:
         self.cartan = tuple(as_fractions(cartan, 1))
         # omega_i = sum_k inv[k][i] alpha_k = W_i / (cd * rd) with the int
         # tuples W_i = sum_k (cd * inv[k][i]) R_k
-        inv = linalg.invert(cartan)
-        cd = lcm(*(x.denominator for row in inv for x in row))
-        inv = [[x.numerator * (cd // x.denominator) for x in row] for row in inv]
+        cd, inv = clear_denominators(linalg.invert(cartan))
         n = system.ambient_dim
         weights = [tuple(sum(inv[k][i] * r[j] for k, (r, _) in enumerate(self.simple))
                          for j in range(n)) for i in range(system.rank)]
-        self.fundamental = tuple(as_fractions(weights, cd * rd))
+        self.fundamental = tuple(as_fractions(weights, cd * self.rd))
         # d_i = 2 omega_i / (alpha_i, alpha_i) = 2 * rd * W_i / (nn_i * cd)
         top = lcm(*(nn for _, nn in self.simple))
         self.duals = tuple(tuple(top // nn * 2 * c for c in w)
@@ -184,7 +163,7 @@ class RootSystem:
 def int_weight(system, x):
     """(X, D) with x = X / D: D is a multiple of the system's ``rd`` and X
     a tuple of ints of the ambient dimension."""
-    big, d = _scaled_ints(x, system.int_form.rd)
+    d, (big,) = clear_denominators([x], system.int_form.rd)
     if len(big) != system.ambient_dim:
         raise ValueError("weight dimension does not match the system")
     return big, d
@@ -199,9 +178,10 @@ def exact_weight(system, x):
 def int_points(system, weights):
     """(points, D) with the weights equal to points / D: one common scale
     D, a multiple of the system's ``rd``, and a list of int tuples."""
-    scaled = [int_weight(system, x) for x in weights]
-    d = lcm(system.int_form.rd, *(e for _, e in scaled))
-    return [tuple(c * (d // e) for c in x) for x, e in scaled], d
+    d, points = clear_denominators(weights, system.int_form.rd)
+    if any(len(x) != system.ambient_dim for x in points):
+        raise ValueError("weight dimension does not match the system")
+    return points, d
 
 
 def _root_entry(system, alpha):
@@ -400,7 +380,7 @@ def to_simple_root_coords(system, x):
 
 
 def from_simple_root_coords(system, coeffs):
-    coeffs, d = _scaled_ints(coeffs)
+    d, (coeffs,) = clear_denominators([coeffs])
     if len(coeffs) != system.rank:
         raise ValueError("coefficient vector length does not match the rank")
     form = system.int_form

@@ -10,7 +10,8 @@ input; bools, floats and strings are rejected).  Each step is one call of
 (``rootsystem.IntForm``) and returns Fractions again.
 """
 
-from .rootsystem import NotARootError, exact_tuple, exact_weight, int_weight, reflect
+from .linalg import exact_tuple
+from .rootsystem import NotARootError, exact_weight, int_weight, reflect
 
 ORBIT_CAP = 10 ** 6
 

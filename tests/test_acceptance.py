@@ -4,7 +4,6 @@ Every comparison is exact; the stated runtime budgets are asserted with
 wall-clock measurements.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -20,7 +19,6 @@ from microweight import (
     detect_e7_config,
     e7_fiber_projection_check,
     fiber_constancy_check,
-    from_simple_root_coords,
     invariant_level_sets,
     inverse_closed,
     is_minuscule,
@@ -31,21 +29,18 @@ from microweight import (
     pairing,
     recover_lambda_sq,
     reflect,
-    reflection_matrix_table,
-    separation_partition,
-    to_simple_root_coords,
     weil_involution,
 )
 from microweight.linalg import mat_vec, sub, vec
 from microweight.minuscule import cube_normal_form
+from microweight.report import PASS
 from microweight.suites import (
-    _CROSS_REFLECTION_IMAGES,
     _cube_forms_for_scan,
     _cube_factor_family,
-    _parse_reflection_table,
     _progression_factor_family,
     default_fixture_path,
     load_oracle_counts,
+    verify_e7_suite,
 )
 from microweight.serialize import weight_rows_from_text
 from microweight.weylorbit import fundamental_weight, fundamental_weights
@@ -73,46 +68,34 @@ def test_criterion_01_orbit_size():
            size == 56 and elapsed < 5)
 
 
+def verify_e7_status(check_id):
+    """Status of one check of the verify-e7 suite, from a fresh run."""
+    (check,) = [c for c in verify_e7_suite().checks if c.id == check_id]
+    return check.status
+
+
 def test_criterion_02_fixture_equivalence():
     t0 = time.monotonic()
-    system = e7()
     rows = weight_rows_from_text(
         default_fixture_path().read_text(encoding="utf-8"), 7)
-    halves = {tuple(c / 2 for c in r) for r in rows}
-    points = halves | {tuple(-c for c in h) for h in halves}
-    weights = {from_simple_root_coords(system, p) for p in points}
+    status = verify_e7_status("02-halforbit-fixture")
     elapsed = time.monotonic() - t0
-    ok = (len(rows) == 28
-          and weights == set(e7_orbit().support)
-          and elapsed < 5)
+    ok = len(rows) == 28 and status == PASS and elapsed < 5
     report(2, "28-row fixture, halved and mirrored, equals the orbit", ok)
 
 
 def test_criterion_03_reflection_spot_checks():
-    system = e7()
-    cross = from_simple_root_coords(system, [0, 1, 1, 2, 1, 1, 1])
-    ok = True
-    for j, expected in enumerate(_CROSS_REFLECTION_IMAGES):
-        image = reflect(system, cross, system.simple_roots[j])
-        ok &= tuple(to_simple_root_coords(system, image)) == vec(expected)
-    table = reflection_matrix_table(system)
-    expected_table = _parse_reflection_table()
-    for i in range(7):
-        for j in range(7):
-            got = tuple(to_simple_root_coords(system, table[i][j]))
-            ok &= got == vec(expected_table[i][j])
+    ok = (verify_e7_status("03-cross-reflection") == PASS
+          and verify_e7_status("04-reflection-table") == PASS)
     report(3, "cross reflection images and all 49 table entries match", ok)
 
 
 def test_criterion_04_partition():
     t0 = time.monotonic()
-    orb = e7_orbit()
-    profile = {Fraction(3): 1, Fraction(1): 27, Fraction(-1): 27, Fraction(-3): 1}
-    ok = all(separation_partition(orb, w).level_counts == profile
-             for w in orb.support)
+    status = verify_e7_status("05-hyperplane-partition")
     elapsed = time.monotonic() - t0
     report(4, "1/27/27/1 partition for all 56 transported functionals "
-              "within 30 s", ok and elapsed < 30)
+              "within 30 s", status == PASS and elapsed < 30)
 
 
 def test_criterion_05_catalog():

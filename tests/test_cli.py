@@ -1,11 +1,15 @@
+import importlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from microweight.cli import main
+from microweight.linalg import neg
 from microweight.suites import default_fixture_path
+from microweight.weylorbit import WeightSet
 
 
 @pytest.fixture
@@ -67,6 +71,34 @@ def test_verify_e7_altered_fixture(runner, tmp_path):
     assert result.exit_code == 1
     assert "02-halforbit-fixture" in result.output
     assert "witness" in result.output
+
+
+# one fault per verify-e7 check: (check id, module, function, the fault
+# made from the original function)
+VERIFY_E7_FAULTS = [
+    ("01-orbit-size", "weylorbit", "orbit",
+     lambda f: lambda system, w: WeightSet(system, f(system, w).support[1:])),
+    ("02-halforbit-fixture", "serialize", "weight_rows_from_text",
+     lambda f: lambda text, rank: f(text, rank)[1:]),
+    ("03-cross-reflection", "rootsystem", "reflect",
+     lambda f: lambda system, alpha, x: neg(f(system, alpha, x))),
+    ("04-reflection-table", "rootsystem", "reflection_matrix_table",
+     lambda f: lambda system: tuple(zip(*f(system)))),
+    ("05-hyperplane-partition", "affgeom", "separation_partition",
+     lambda f: lambda weights, w: replace(f(weights, w), level_counts={})),
+]
+
+
+@pytest.mark.parametrize("check_id, module, name, fault", VERIFY_E7_FAULTS,
+                         ids=[case[0] for case in VERIFY_E7_FAULTS])
+def test_verify_e7_check_fails_on_an_injected_fault(runner, monkeypatch, check_id,
+                                                    module, name, fault):
+    mod = importlib.import_module(f"microweight.{module}")
+    monkeypatch.setattr(mod, name, fault(getattr(mod, name)))
+    result = invoke(runner, "--json", "verify-e7")
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
+    assert checks[check_id]["status"] == "fail"
 
 
 def test_verify_e7_malformed_fixture(runner, tmp_path):

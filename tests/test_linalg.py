@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -124,3 +125,63 @@ def test_independent_rows_are_the_greedy_basis(rows, k):
     # each row up to the last chosen one is chosen exactly when it raises the rank
     for i in range(chosen[-1] + 1 if chosen else len(rows)):
         assert (i in chosen) == (rank(rows[:i + 1]) > rank(rows[:i]))
+
+
+small_rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+exact_entries = st.one_of(st.integers(-50, 50), small_rationals)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(exact_entries, min_size=n, max_size=n), max_size=5)), st.integers(1, 5))
+def test_clear_denominators_scales_to_the_least_common_denominator(rows, den):
+    d, ints = linalg.clear_denominators(rows, den)
+    assert all(type(x) is int for row in ints for x in row)
+    assert [[Fraction(x, d) for x in row] for row in ints] == rows
+    # the least multiple of den that makes every entry an integer
+    least = next(m for m in count(den, den)
+                 if all((x * m).denominator == 1 for row in rows for x in row))
+    assert d == least
+
+
+@pytest.mark.parametrize("entry", [True, 0.5, 1.0, "1"])
+def test_clear_denominators_rejects_inexact_entries(entry):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        linalg.clear_denominators([(1, Fraction(1, 2)), (0, entry)])
+
+
+def test_solve_in_basis_rejects_a_dependent_basis_and_unequal_lengths():
+    basis = [(1, 0, 1), (Fraction(1, 2), 0, Fraction(1, 2))]
+    with pytest.raises(ValueError, match="dependent"):
+        linalg.solve_in_basis(basis, (1, 0, 1))
+    with pytest.raises(ValueError, match="lengths differ"):
+        linalg.solve_in_basis([(1, 0)], (1, 0, 0))
+    assert linalg.solve_in_basis([], (0, 0)) == ()
+    assert linalg.solve_in_basis([], (0, 1)) is None
+
+
+def _float_cases():
+    from microweight import AffineMap, build_root_system, orbit, separation_partition
+    from microweight.weylorbit import fundamental_weight
+
+    system = build_root_system("E7", 7)
+    w7 = fundamental_weight(system, 7)
+    orb = orbit(system, w7)
+    identity = AffineMap(((1, 0), (0, 1)), (0, 0))
+    return {
+        "rank": lambda: linalg.rank([(1, 0.5)]),
+        "invert": lambda: linalg.invert([(2.0, 1), (1, 1)]),
+        "solve_in_basis": lambda: linalg.solve_in_basis([(1, 0)], (0.5, 0)),
+        "separation_partition": lambda: separation_partition(
+            orb, tuple(map(float, w7))),
+        "SeparationReport.evaluate": lambda: separation_partition(
+            orb, w7).evaluate(tuple(map(float, w7))),
+        "AffineMap.apply": lambda: identity.apply((0.5, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["rank", "invert", "solve_in_basis",
+                                  "separation_partition", "SeparationReport.evaluate",
+                                  "AffineMap.apply"])
+def test_a_float_is_rejected(name):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        _float_cases()[name]()
