@@ -154,12 +154,7 @@ def frobmodel_cmd(ctx, input_path, op):
         delta = serialize.eigenset_from_path(input_path)
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"input error: {exc}")
-    from .frobmodel import StructureError
-    try:
-        report = suites.frobmodel_suite(delta, op)
-    except StructureError as exc:
-        raise click.UsageError(f"input error: {exc}")
-    _emit(ctx, report)
+    _emit(ctx, suites.frobmodel_suite(delta, op))
 
 
 if __name__ == "__main__":

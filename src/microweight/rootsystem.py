@@ -2,6 +2,8 @@
 
 Each system is realized in the standard epsilon-coordinates: A_m in
 dimension m+1, B_m/C_m/D_m in dimension m, E6 and E7 inside dimension 8.
+Only the simple roots are written down; every other root is generated
+from them by the simple reflections (``IntForm``).
 
 Publicly, roots and weights are tuples of Fractions in ambient
 coordinates.  Inputs may hold ints or Fractions; bools, floats and strings
@@ -16,15 +18,12 @@ are returned; conversions to and from simple-root coordinates are exact.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
 from math import gcd, lcm
 
 from . import linalg
-from .linalg import clear_denominators, dot, exact_tuple, neg, scale, vec, zero_vec
+from .linalg import clear_denominators, dot, exact_tuple, neg, zero_vec
 
 TYPE_LABELS = ("A", "B", "C", "D", "E6", "E7")
-
-HALF = Fraction(1, 2)
 
 
 class RootSystemError(ValueError):
@@ -52,20 +51,24 @@ def as_fractions(points, d):
     return [tuple([_fraction(c, d) for c in x]) for x in points]
 
 
-def _shared(r):
-    """The root r with its entries taken from ``_fraction``."""
-    return tuple([_fraction(c.numerator, c.denominator) for c in r])
-
-
 class IntForm:
-    """Integer data of one root system, built on first use.
+    """Integer data of one root system, built from its simple roots.
 
-    ``rd`` is the common denominator of the root coordinates.  ``root``
-    maps each root alpha (as a tuple) to ``(R, nn)``: R = rd * alpha as a
-    tuple of ints and nn = R.R.  ``simple``, ``positive`` and ``all`` hold
-    the same pairs in the order of ``simple_roots``, ``positive_roots`` and
-    ``roots``.  For a weight x = X / D the pairing (x, alpha-check) is
-    2 * rd * (X.R) / (D * nn).
+    ``rd`` is the common denominator of the simple-root coordinates, and
+    with it of every root, since each root is an integer combination of
+    the simple roots.  The roots are generated, not listed: every root is
+    Weyl-conjugate to a simple root, so closing the simple roots under the
+    simple reflections yields them all.  The closure runs on int tuples of
+    simple-root coordinates, where the reflection in alpha_i is
+    s_i(c) = c - (sum_j C_ij c_j) e_i with C the Cartan matrix; the
+    positive roots are the elements with every coordinate >= 0.
+
+    ``roots`` and ``positive_roots`` are Fraction tuples, the positive
+    roots sorted and then their negatives.  ``root`` maps each root alpha
+    to ``(R, nn)``: R = rd * alpha as a tuple of ints and nn = R.R.
+    ``simple``, ``positive`` and ``all`` hold the same pairs in the order
+    of the simple roots, ``positive_roots`` and ``roots``.  For a weight
+    x = X / D the pairing (x, alpha-check) is 2 * rd * (X.R) / (D * nn).
 
     ``cartan`` and ``fundamental`` are the public Cartan matrix and
     fundamental weights (Fractions).  ``duals`` and ``kd`` give simple-root
@@ -76,22 +79,43 @@ class IntForm:
     Cartan matrix.
     """
 
-    def __init__(self, system):
-        self.rd, ints = clear_denominators(system.roots)
-        self.root = {r: (big, dot(big, big)) for r, big in zip(system.roots, ints)}
-        self.all = tuple(self.root[r] for r in system.roots)
-        self.positive = self.all[:len(system.positive_roots)]
-        self.simple = tuple(self.root[a] for a in system.simple_roots)
-        # (alpha_j, alpha_i-check) = 2 (R_i.R_j) / nn_i is an integer
-        cartan = [[2 * dot(ri, rj) // ni for rj, _ in self.simple]
+    def __init__(self, simple_roots):
+        self.rd, simple = clear_denominators(simple_roots)
+        self.simple = tuple((r, dot(r, r)) for r in simple)
+        # (alpha_j, alpha_i-check) = 2 (R_i.R_j) / nn_i, a nonpositive
+        # integer off the diagonal when the simple roots form a base
+        cartan = [[divmod(2 * dot(ri, rj), ni) for rj, _ in self.simple]
                   for ri, ni in self.simple]
+        if any(rem or (q > 0 and i != j) for i, row in enumerate(cartan)
+               for j, (q, rem) in enumerate(row)):
+            raise RootSystemError("the simple roots are not a base of a "
+                                  "crystallographic root system")
+        cartan = [[q for q, _ in row] for row in cartan]
         self.cartan = tuple(as_fractions(cartan, 1))
+        n = len(simple)
+        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        todo = list(seen)
+        while todo:
+            c = todo.pop()
+            for i, row in enumerate(cartan):
+                p = dot(row, c)
+                image = c[:i] + (c[i] - p,) + c[i + 1:]
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+        positive = sorted(tuple(dot(c, col) for col in zip(*simple))
+                          for c in seen if min(c) >= 0)
+        ints = positive + [neg(r) for r in positive]
+        self.roots = tuple(as_fractions(ints, self.rd))
+        self.positive_roots = self.roots[:len(positive)]
+        self.all = tuple((r, dot(r, r)) for r in ints)
+        self.positive = self.all[:len(positive)]
+        self.root = dict(zip(self.roots, self.all))
         # omega_i = sum_k inv[k][i] alpha_k = W_i / (cd * rd) with the int
         # tuples W_i = sum_k (cd * inv[k][i]) R_k
         cd, inv = clear_denominators(linalg.invert(cartan))
-        n = system.ambient_dim
-        weights = [tuple(sum(inv[k][i] * r[j] for k, (r, _) in enumerate(self.simple))
-                         for j in range(n)) for i in range(system.rank)]
+        weights = [tuple(sum(inv[k][i] * r[j] for k, r in enumerate(simple))
+                         for j in range(len(simple[0]))) for i in range(n)]
         self.fundamental = tuple(as_fractions(weights, cd * self.rd))
         # d_i = 2 omega_i / (alpha_i, alpha_i) = 2 * rd * W_i / (nn_i * cd)
         top = lcm(*(nn for _, nn in self.simple))
@@ -121,25 +145,25 @@ class IntForm:
 
 
 class RootSystem:
-    """A realized root system: simple roots, all roots, pairing data.
+    """A realized root system, given by its simple roots.
 
-    Immutable after construction (the integer form is built once, on first
-    use); safe to share between threads.
+    The roots and the pairing data are generated from the simple roots
+    when first used (``IntForm``); the system is immutable after
+    construction and safe to share between threads.
     """
 
-    def __init__(self, type_label, rank, ambient_dim, simple_roots, positive_roots):
+    def __init__(self, type_label, simple_roots):
         self.type_label = type_label
-        self.rank = rank
-        self.ambient_dim = ambient_dim
-        self.simple_roots = tuple(map(_shared, simple_roots))
-        self.positive_roots = tuple(sorted(map(_shared, positive_roots)))
-        self.roots = self.positive_roots + tuple(_shared(neg(r)) for r in self.positive_roots)
-        if len(self.simple_roots) != rank:
-            raise RootSystemError("simple root count does not match rank")
-        if linalg.rank(self.simple_roots) != rank:
+        d, simple = clear_denominators(simple_roots)
+        self.simple_roots = tuple(as_fractions(simple, d))
+        self.rank = len(simple)
+        self.ambient_dim = len(simple[0])
+        if linalg.rank(self.simple_roots) != self.rank:
             raise RootSystemError("simple roots are not linearly independent")
 
     def __repr__(self):
+        if self.type_label.startswith("E"):
+            return f"RootSystem({self.type_label})"
         return f"RootSystem({self.type_label}{self.rank})"
 
     def __eq__(self, other):
@@ -149,6 +173,14 @@ class RootSystem:
     def __hash__(self):
         return hash((self.type_label, self.rank))
 
+    @property
+    def roots(self):
+        return self.int_form.roots
+
+    @property
+    def positive_roots(self):
+        return self.int_form.positive_roots
+
     def is_root(self, v):
         return tuple(v) in self.int_form.root
 
@@ -157,7 +189,7 @@ class RootSystem:
 
     @cached_property
     def int_form(self):
-        return IntForm(self)
+        return IntForm(self.simple_roots)
 
 
 def int_weight(system, x):
@@ -193,111 +225,16 @@ def _root_entry(system, alpha):
     return entry
 
 
-def _simple_a(m):
-    dim = m + 1
-    return [_unit_diff(i, i + 1, dim) for i in range(m)]
-
-
-def _unit(i, dim):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-
-
-def _unit_diff(i, j, dim):
-    return tuple(Fraction(1) if k == i else Fraction(-1) if k == j else Fraction(0)
-                 for k in range(dim))
-
-
-def _roots_a(m):
-    dim = m + 1
-    return [_unit_diff(i, j, dim) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def _roots_b(m):
-    pos = [_unit(i, m) for i in range(m)]
-    for i, j in combinations(range(m), 2):
-        pos.append(_unit_diff(i, j, m))
-        pos.append(linalg.add(_unit(i, m), _unit(j, m)))
-    return pos
-
-
-def _roots_c(m):
-    pos = [scale(2, _unit(i, m)) for i in range(m)]
-    for i, j in combinations(range(m), 2):
-        pos.append(_unit_diff(i, j, m))
-        pos.append(linalg.add(_unit(i, m), _unit(j, m)))
-    return pos
-
-
-def _roots_d(m):
-    pos = []
-    for i, j in combinations(range(m), 2):
-        pos.append(_unit_diff(i, j, m))
-        pos.append(linalg.add(_unit(i, m), _unit(j, m)))
-    return pos
-
-
-def _e_half_family(fixed, free_count, parity):
-    """Vectors 1/2*(fixed part + sum_{i<free_count} s_i e_i) with the number
-    of minus signs among the free coordinates congruent to ``parity`` mod 2."""
-    out = []
-    for signs in product((1, -1), repeat=free_count):
-        if sum(1 for s in signs if s == -1) % 2 != parity:
-            continue
-        v = list(fixed)
-        for i, s in enumerate(signs):
-            v[i] = Fraction(s, 2)
-        out.append(tuple(v))
-    return out
-
-
-def _all_roots_e7():
-    roots = []
-    for i, j in combinations(range(6), 2):
-        for si, sj in product((1, -1), repeat=2):
-            v = [Fraction(0)] * 8
-            v[i], v[j] = Fraction(si), Fraction(sj)
-            roots.append(tuple(v))
-    base = [Fraction(0)] * 8
-    base[6], base[7] = HALF, -HALF
-    half = _e_half_family(base, 6, 1)
-    roots.extend(half)
-    roots.extend(neg(v) for v in half)
-    e78 = [Fraction(0)] * 8
-    e78[6], e78[7] = Fraction(1), Fraction(-1)
-    roots.append(tuple(e78))
-    roots.append(neg(tuple(e78)))
-    return roots
-
-
-def _all_roots_e6():
-    roots = []
-    for i, j in combinations(range(5), 2):
-        for si, sj in product((1, -1), repeat=2):
-            v = [Fraction(0)] * 8
-            v[i], v[j] = Fraction(si), Fraction(sj)
-            roots.append(tuple(v))
-    base = [Fraction(0)] * 8
-    base[5], base[6], base[7] = -HALF, -HALF, HALF
-    half = _e_half_family(base, 5, 0)
-    roots.extend(half)
-    roots.extend(neg(v) for v in half)
-    return roots
-
-
-def _simple_e7():
-    a1 = vec([HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF])
-    a2 = vec([1, 1, 0, 0, 0, 0, 0, 0])
-    a3 = vec([-1, 1, 0, 0, 0, 0, 0, 0])
-    a4 = vec([0, -1, 1, 0, 0, 0, 0, 0])
-    a5 = vec([0, 0, -1, 1, 0, 0, 0, 0])
-    a6 = vec([0, 0, 0, -1, 1, 0, 0, 0])
-    a7 = vec([0, 0, 0, 0, -1, 1, 0, 0])
-    return [a1, a2, a3, a4, a5, a6, a7]
-
-
-def _simple_e6():
-    return _simple_e7()[:6]
-
+# Bourbaki numbering; E6 is the first six simple roots of E7
+_E_SIMPLE = (
+    tuple(Fraction(c, 2) for c in (1, -1, -1, -1, -1, -1, -1, 1)),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 0, 0),
+    (0, 0, 0, -1, 1, 0, 0, 0),
+    (0, 0, 0, 0, -1, 1, 0, 0),
+)
 
 _VALID_RANKS = {
     "A": lambda m: m >= 1,
@@ -307,6 +244,23 @@ _VALID_RANKS = {
     "E6": lambda m: m == 6,
     "E7": lambda m: m == 7,
 }
+
+
+def _simple_roots(type_label, m):
+    """The simple roots e_i - e_{i+1}, then e_m for B, 2 e_m for C and
+    e_{m-1} + e_m for D; A_m lives in dimension m + 1."""
+    if type_label in ("E6", "E7"):
+        return _E_SIMPLE[:m]
+    dim = m + 1 if type_label == "A" else m
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    simple = [linalg.sub(unit[i], unit[i + 1]) for i in range(dim - 1)]
+    if type_label == "B":
+        simple.append(unit[m - 1])
+    elif type_label == "C":
+        simple.append(linalg.add(unit[m - 1], unit[m - 1]))
+    elif type_label == "D":
+        simple.append(linalg.add(unit[m - 2], unit[m - 1]))
+    return simple
 
 
 @lru_cache(maxsize=None)
@@ -319,35 +273,7 @@ def build_root_system(type_label, rank):
         raise RootSystemError(f"unknown type label {type_label!r}")
     if not _VALID_RANKS[type_label](rank):
         raise RootSystemError(f"rank {rank} is out of range for type {type_label}")
-    if type_label == "A":
-        return RootSystem("A", rank, rank + 1, _simple_a(rank), _roots_a(rank))
-    if type_label == "B":
-        simple = [_unit_diff(i, i + 1, rank) for i in range(rank - 1)]
-        simple.append(_unit(rank - 1, rank))
-        return RootSystem("B", rank, rank, simple, _roots_b(rank))
-    if type_label == "C":
-        simple = [_unit_diff(i, i + 1, rank) for i in range(rank - 1)]
-        simple.append(scale(2, _unit(rank - 1, rank)))
-        return RootSystem("C", rank, rank, simple, _roots_c(rank))
-    if type_label == "D":
-        simple = [_unit_diff(i, i + 1, rank) for i in range(rank - 1)]
-        simple.append(linalg.add(_unit(rank - 2, rank), _unit(rank - 1, rank)))
-        return RootSystem("D", rank, rank, simple, _roots_d(rank))
-    if type_label == "E6":
-        simple = _simple_e6()
-        all_roots = _all_roots_e6()
-    else:
-        simple = _simple_e7()
-        all_roots = _all_roots_e7()
-    # the height functional h, (h, alpha_i) = 1 on every simple root:
-    # (h, r) is the height of r, positive exactly on the positive roots
-    gram = [[dot(a, b) for b in simple] for a in simple]
-    t = linalg.solve_square(gram, (1,) * rank)
-    h = tuple(dot(t, col) for col in zip(*simple))
-    positive = [r for r in all_roots if dot(h, r) > 0]
-    if 2 * len(positive) != len(all_roots):
-        raise RootSystemError("positivity split failed")  # construction bug guard
-    return RootSystem(type_label, rank, 8, simple, positive)
+    return RootSystem(type_label, _simple_roots(type_label, rank))
 
 
 def pairing(system, x, alpha):

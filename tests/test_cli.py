@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -99,6 +100,51 @@ def test_verify_e7_check_fails_on_an_injected_fault(runner, monkeypatch, check_i
     assert result.exit_code == 1
     checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
     assert checks[check_id]["status"] == "fail"
+
+
+def test_verify_e7_check_that_raises_reads_fail(runner, monkeypatch):
+    # a doubled root is no root: check 03 raises NotARootError, which is a
+    # failed check, not a fixture error
+    from microweight import rootsystem
+
+    coords = rootsystem.from_simple_root_coords
+    monkeypatch.setattr(rootsystem, "from_simple_root_coords",
+                        lambda system, c: tuple(2 * x for x in coords(system, c)))
+    result = invoke(runner, "--json", "verify-e7")
+    assert result.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(result.output)["checks"]}
+    assert checks["02-halforbit-fixture"]["status"] == "fail"
+    assert checks["03-cross-reflection"]["status"] == "fail"
+    assert "is not a root of RootSystem(E7)" in checks["03-cross-reflection"]["witness"]
+
+
+# one fault per remaining check family: (check id prefix, CLI arguments,
+# module, function, the fault made from the original function)
+FAMILY_FAULTS = [
+    ("catalog-w", ("catalog", "--type", "E7", "--rank", "7"), "minuscule", "is_minuscule",
+     lambda f: lambda system, w: not f(system, w)),
+    ("cube-", ("--json", "verify-lemmas", "--suite", "2.7"), "affgeom", "no_three_collinear",
+     lambda f: lambda cfg: (False, cfg.int_points[:3])),
+    ("fiber-", ("--json", "verify-lemmas", "--suite", "2.8"), "frobmodel",
+     "fiber_constancy_check", lambda f: lambda delta: replace(f(delta), ok=False)),
+]
+
+
+@pytest.mark.parametrize("prefix, args, module, name, fault", FAMILY_FAULTS,
+                         ids=[case[0].rstrip("-") for case in FAMILY_FAULTS])
+def test_check_family_fails_on_an_injected_fault(runner, monkeypatch, prefix, args,
+                                                 module, name, fault):
+    mod = importlib.import_module(f"microweight.{module}")
+    monkeypatch.setattr(mod, name, fault(getattr(mod, name)))
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    if args[0] == "--json":
+        statuses = {c["id"]: c["status"] for c in json.loads(result.output)["checks"]}
+    else:  # the catalog's --json prints the catalog, so read the text report
+        lines = re.findall(r"^\[(\w+) *\] ([^:]+):", result.output, re.M)
+        statuses = {check_id: status.lower() for status, check_id in lines}
+    family = [i for i in statuses if i.startswith(prefix)]
+    assert family and all(statuses[i] == "fail" for i in family)
 
 
 def test_verify_e7_malformed_fixture(runner, tmp_path):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from conftest import brute_force_weyl_group
 from microweight import (
     NotARootError,
+    RootSystem,
     RootSystemError,
     SpanError,
     build_root_system,
@@ -17,7 +19,7 @@ from microweight import (
     to_simple_root_coords,
 )
 from microweight import linalg
-from microweight.linalg import vec
+from microweight.linalg import dot, vec
 from microweight.weylorbit import fundamental_weights
 
 HALF = Fraction(1, 2)
@@ -32,6 +34,52 @@ def test_root_counts():
     assert len(build_root_system("D", 4).roots) == 24
     assert len(build_root_system("E6", 6).roots) == 72
     assert len(build_root_system("E7", 7).roots) == 126
+
+
+def _e8_roots():
+    """The 240 roots of E8: +-e_i +- e_j, and the vectors with every entry
+    +-1/2 and an even number of minus signs."""
+    roots = set()
+    for (i, j), (si, sj) in product(combinations(range(8), 2), product((1, -1), repeat=2)):
+        roots.add(tuple(si if k == i else sj if k == j else 0 for k in range(8)))
+    for signs in product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            roots.add(tuple(s * HALF for s in signs))
+    return roots
+
+
+def test_e6_and_e7_are_e8_roots_orthogonal_to_fixed_vectors():
+    e8 = _e8_roots()
+    assert len(e8) == 240
+    e7 = {r for r in e8 if dot(r, (0, 0, 0, 0, 0, 0, 1, 1)) == 0}
+    e6 = {r for r in e7 if dot(r, (0, 0, 0, 0, 0, 1, -1, 0)) == 0}
+    for system, expected in ((build_root_system("E7", 7), e7),
+                             (build_root_system("E6", 6), e6)):
+        assert len(system.roots) == len(expected)
+        assert set(system.roots) == expected
+
+
+def test_closure_builds_types_without_a_label():
+    # G2 and F4 from their simple roots alone: 12 and 48 roots
+    g2 = RootSystem("G2", [(1, -1, 0), (-2, 1, 1)])
+    f4 = RootSystem("F4", [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1),
+                           (HALF, -HALF, -HALF, -HALF)])
+    assert (len(g2.roots), len(f4.roots)) == (12, 48)
+    assert len(set(f4.roots)) == 48 and len(f4.positive_roots) == 24
+
+
+def test_simple_roots_must_be_an_independent_base():
+    with pytest.raises(RootSystemError, match="independent"):
+        RootSystem("X", [(1, 0), (2, 0)])
+    # an acute pair, then a non-integral Cartan entry
+    for simple in ([(1, 0), (1, 1)], [(1, 0), (-1, 2)]):
+        with pytest.raises(RootSystemError, match="base"):
+            RootSystem("X", simple).roots
+
+
+def test_repr_names_e_types_once():
+    assert [repr(build_root_system(*s)) for s in (("E7", 7), ("E6", 6), ("B", 3))] == \
+        ["RootSystem(E7)", "RootSystem(E6)", "RootSystem(B3)"]
 
 
 def test_invalid_ranks_rejected():
@@ -146,8 +194,9 @@ def test_system_identity_and_cache():
 
 @pytest.mark.parametrize("label,rank", ALL_SYSTEMS + [("A", 7), ("B", 6), ("D", 7)])
 def test_positive_roots_are_the_nonnegative_combinations(label, rank):
-    """The height-functional split agrees with the definition it replaced:
-    a root is positive when its simple-root coefficients are all >= 0."""
+    """The positive roots are the roots whose simple-root coefficients,
+    solved for independently of the closure that generates them, are all
+    >= 0."""
 
     def is_nonnegative_combo(simple, v):
         coeffs = linalg.solve_in_basis(simple, v)

@@ -1,10 +1,12 @@
-"""Cartan matrices and root counts against sympy's independent Lie
-algebra tables, and ``solve_in_basis`` against sympy's linear solver.
+"""Cartan matrices and roots against sympy's independent Lie algebra
+tables, and ``solve_in_basis`` against sympy's linear solver.
 
 sympy writes the Cartan matrix with rows and columns swapped relative to
 ``cartan_matrix``: its (i, j) entry is our (j, i) entry.  sympy's type C
 starts at rank 3, so C2 is not covered, and its A1 Cartan matrix fails to
-build, so A1 is checked by its root count only.
+build, so A1 is checked by its roots only.  sympy's E6 and E7 root lists
+hold only 50 and 74 distinct vectors, so for those types the root count
+is compared, not the root set.
 """
 
 from fractions import Fraction
@@ -45,8 +47,12 @@ def test_cartan_matrix_is_sympy_transpose(type_label, rank):
 
 @pytest.mark.parametrize("type_label, rank", SYSTEMS, ids=[_label(*s) for s in SYSTEMS])
 def test_root_count_matches_sympy(type_label, rank):
-    theirs = RootSystem(_label(type_label, rank)).all_roots()
-    assert len(build_root_system(type_label, rank).roots) == len(theirs)
+    theirs = RootSystem(_label(type_label, rank)).all_roots().values()
+    ours = build_root_system(type_label, rank).roots
+    assert len(ours) == len(theirs)
+    if not type_label.startswith("E"):
+        # sympy uses the same epsilon coordinates for A-D
+        assert set(ours) == {tuple(Fraction(str(c)) for c in v) for v in theirs}
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
