@@ -34,7 +34,6 @@ from .affgeom import (
     AffineMap,
     Configuration,
     DetectionInconclusive,
-    SeparationReport,
     collinear_triple_count,
     detect_e7_config,
     no_three_collinear,

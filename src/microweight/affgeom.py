@@ -1,10 +1,11 @@
 """Exact affine geometry on finite rational point configurations.
 
-Covers collinearity scans, the separating hyperplane partition of the
-56-point weight system, and detection of point sets affinely isomorphic
-to that weight system in four stages: size, dimension and antipodality;
-the row profile of the hat matrix, an affine invariant; backtracking on
-equal hat-matrix entries; and an integer verify of the assembled map.
+Covers collinearity scans, the level counts of the separating hyperplane
+partition of the 56-point weight system, and detection of point sets
+affinely isomorphic to that weight system in four stages: size, dimension
+and antipodality; the row profile of the hat matrix, an affine invariant;
+backtracking on equal hat-matrix entries; and an integer verify of the
+assembled map.
 
 Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
 in every coordinate, never a coerced float), and point sets are cleared
@@ -21,7 +22,7 @@ from operator import mul
 
 from . import linalg
 from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale, sub, vec
-from .rootsystem import (as_fractions, build_root_system, int_points, int_weight,
+from .rootsystem import (build_root_system, int_points, int_weight,
                          to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
 
@@ -173,55 +174,40 @@ def omega56():
 
 @lru_cache(maxsize=1)
 def _top_orbit():
-    """The E7 orbit of omega_7: its words, its sorted support, the support
-    as int tuples at one scale ``den``, and the last-coordinate dual as an
-    ``int_weight`` pair.  The dual is the vector d of the span with
-    (d, alpha_j) equal to 1 for the last simple root and 0 otherwise, so
-    (d, x) is the last simple-root coordinate of any x in the span."""
+    """The E7 orbit of omega_7: its words, the orbit as int tuples at one
+    scale ``den``, and the last-coordinate dual as an ``int_weight`` pair.
+    The dual is the vector d of the span with (d, alpha_j) equal to 1 for
+    the last simple root and 0 otherwise, so (d, x) is the last
+    simple-root coordinate of any x in the span."""
     system = build_root_system("E7", 7)
     words = orbit_words(system, fundamental_weight(system, 7))
-    support = tuple(sorted(words))
-    points, den = int_points(system, support)
+    points, den = int_points(system, words)
     form = system.int_form
     dual = int_weight(system, form.dual(system.rank - 1))
-    return words, support, points, den, dual
+    return words, points, den, dual
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    functional: tuple        # ambient coefficient vector of the linear functional
-    constant: Fraction
-    level_counts: dict       # functional value -> number of weights
-
-    def evaluate(self, x):
-        return dot(self.functional, exact_tuple(x)) + self.constant
-
-
-def separation_partition(weights, w):
-    """Level counts of the transported top-coordinate functional on the
-    56-point weight system.
+def separation_partition(w):
+    """``{value: count}``: the level counts of the transported
+    top-coordinate functional on the 56-point E7 weight system.
 
     The functional realizing the 1/27/27/1 partition for the highest
     weight is the last simple-root coordinate (doubled); for any other
-    orbit element it is transported along the reflection word reaching
-    that element.  Values are reported on the doubled weight coordinates.
+    orbit element w it is transported along the reflection word reaching
+    w.  Values are reported on the doubled weight coordinates.  A w that
+    is not in the orbit raises ValueError.
     """
-    words, support, points, den, (d, d_scale) = _top_orbit()
-    # both supports are sorted, so equal tuples mean equal sets
-    if weights.support != support:
-        raise ValueError("weights must be the minuscule E7 weight system")
+    words, points, den, (d, d_scale) = _top_orbit()
     w = exact_tuple(w)
-    if w not in weights:
-        raise ValueError(f"{w} is not an element of the weight system")
+    if w not in words:
+        raise ValueError(f"{w} is not an element of the E7 weight system")
     form = build_root_system("E7", 7).int_form
     for i in words[w]:
         d, d_scale = form.reflect(form.simple[i], d, d_scale)
     # the functional 2d / d_scale takes the value 2 (d.x) / (d_scale * den)
     counts = Counter(2 * dot(d, x) for x in points)
     level = d_scale * den
-    functional = as_fractions([[2 * c for c in d]], d_scale)[0]
-    return SeparationReport(functional, Fraction(0),
-                            {Fraction(v, level): n for v, n in counts.items()})
+    return {Fraction(v, level): n for v, n in counts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import serialize, suites
-from .rootsystem import RootSystemError
+from .rootsystem import TYPE_LABELS, RootSystemError
 
 HARD_MAX_RANK_DEFAULT = 10
 CONFIG_KEYS = ("hard_max_rank", "fixture_dir")
@@ -77,7 +77,7 @@ def main(ctx, as_json, quiet, config_path):
 
 @main.command()
 @click.option("--type", "type_label", required=True,
-              type=click.Choice(["A", "B", "C", "D", "E6", "E7"]))
+              type=click.Choice(TYPE_LABELS))
 @click.option("--rank", required=True, type=int)
 @click.pass_context
 def catalog(ctx, type_label, rank):

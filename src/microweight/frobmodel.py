@@ -9,14 +9,14 @@ involution and the line/difference sets all live here.
 
 The O(n^2) pair loops run on packed ints (``linalg.pack_points``): the
 pairwise sums are one ``Counter.update`` per point, the fiber differences
-one set update per point, and the line triples come from
+one set update per point, and the line triples stream from
 ``affgeom.midpoint_triples``, which packs its points the same way.  Only
 what a function returns is unpacked into tuples.  ``t_eta_count`` stays
 on tuples: it is the independent recount behind the level-sets check.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -61,8 +61,8 @@ class EigenSet:
     together with the factor sets it was built from."""
     structure: BlockStructure
     elements: frozenset
-    factor1: frozenset = field(default_factory=frozenset)
-    factor2: frozenset = field(default_factory=frozenset)
+    factor1: frozenset
+    factor2: frozenset
 
     def __len__(self):
         return len(self.elements)
@@ -176,9 +176,9 @@ def weil_involution(delta, x):
 
 
 def line_set(delta):
-    """All ordered triples of distinct elements (d1, mid, d2) with
-    2*mid = d1 + d2."""
-    return list(midpoint_triples(delta.elements))
+    """Iterator over all ordered triples of distinct elements (d1, mid, d2)
+    with 2*mid = d1 + d2, in sorted (d1, mid) order."""
+    return midpoint_triples(delta.elements)
 
 
 def b_set(delta):

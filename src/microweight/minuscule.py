@@ -99,7 +99,6 @@ class CubeForm:
     type_label: str
     rank: int
     weight_index: int
-    generators: tuple
     points: tuple  # sorted integer tuples
     constraint: str
 
@@ -123,27 +122,27 @@ def cube_normal_form(type_label, rank, weight_index):
     gens = _std_basis(m)
     if type_label == "B" and weight_index == m and m >= 2:
         pts = sorted(product((1, -1), repeat=m))
-        return CubeForm("B", m, m, gens, tuple(pts), "all sign vectors")
+        return CubeForm("B", m, m, tuple(pts), "all sign vectors")
     if type_label == "D" and m >= 3:
         if weight_index == 1:
             pts = sorted([g for g in gens] + [tuple(-x for x in g) for g in gens])
-            return CubeForm("D", m, 1, gens, tuple(pts), "plus-minus generators")
+            return CubeForm("D", m, 1, tuple(pts), "plus-minus generators")
         if weight_index in (m - 1, m):
             par = 1 if weight_index == m - 1 else 0
             pts = sorted(p for p in product((1, -1), repeat=m)
                          if sum(1 for x in p if x == -1) % 2 == par)
             label = f"sign vectors with minus-count = {par} mod 2"
-            return CubeForm("D", m, weight_index, gens, tuple(pts), label)
+            return CubeForm("D", m, weight_index, tuple(pts), label)
     if type_label == "C" and weight_index == 1 and m >= 2:
         pts = sorted([g for g in gens] + [tuple(-x for x in g) for g in gens])
-        return CubeForm("C", m, 1, gens, tuple(pts), "plus-minus generators")
+        return CubeForm("C", m, 1, tuple(pts), "plus-minus generators")
     if type_label == "A":
         if 2 * weight_index != m + 1:
             raise RootSystemError(
                 "type A has a cube normal form only for the self-dual middle "
                 "weight (index (m+1)/2, m odd)")
         pts = sorted(p for p in product((1, -1), repeat=m) if sum(p) in (1, -1))
-        return CubeForm("A", m, weight_index, gens, tuple(pts),
+        return CubeForm("A", m, weight_index, tuple(pts),
                         "sign vectors with coordinate sum in {-1, +1}")
     raise RootSystemError(
         f"({type_label}, rank {rank}, weight {weight_index}) has no cube normal form")

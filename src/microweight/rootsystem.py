@@ -168,10 +168,11 @@ class RootSystem:
 
     def __eq__(self, other):
         return (isinstance(other, RootSystem)
-                and (self.type_label, self.rank) == (other.type_label, other.rank))
+                and (self.type_label, self.simple_roots)
+                == (other.type_label, other.simple_roots))
 
     def __hash__(self):
-        return hash((self.type_label, self.rank))
+        return hash((self.type_label, self.simple_roots))
 
     @property
     def roots(self):

@@ -160,12 +160,12 @@ def verify_e7_suite(fixture_path=None):
 
     def partition_check():
         for w in orb.support:
-            rep = affgeom.separation_partition(orb, w)
-            if rep.level_counts != _PARTITION_PROFILE:
+            counts = affgeom.separation_partition(w)
+            if counts != _PARTITION_PROFILE:
                 return False, {"weight": [serialize.rat_to_str(c) for c in
                                           rootsystem.to_simple_root_coords(system, w)],
                                "counts": {serialize.rat_to_str(k): v
-                                          for k, v in rep.level_counts.items()}}
+                                          for k, v in counts.items()}}
         return True, None
 
     _timed(report, "05-hyperplane-partition",
@@ -306,13 +306,13 @@ def frobmodel_suite(delta, op):
                "level sets partition the pairwise-sum set", check)
     elif op == "line-set":
         def check():
-            lines = frobmodel.line_set(delta)
+            count = sum(1 for _ in frobmodel.line_set(delta))
             # an independent count: a triple of the product is a midpoint
             # triple in each factor, repeated points allowed, and only the
             # |delta| triples a = m = c are not distinct
             expected = (sum(1 for _ in _midpoint_pairs(delta.factor1))
                         * sum(1 for _ in _midpoint_pairs(delta.factor2)) - len(delta))
-            return len(lines) == expected, len(lines)
+            return count == expected, count
 
         _timed(report, "line-set", "ordered midpoint triples enumerated", check)
     elif op == "b-set":

@@ -135,30 +135,27 @@ def test_separation_partition_profile():
     orb = orbit(system, w7)
     profile = {Fraction(3): 1, Fraction(1): 27, Fraction(-1): 27, Fraction(-3): 1}
 
-    report = separation_partition(orb, w7)
-    assert report.level_counts == profile
-    assert report.evaluate(w7) == 3
-    assert sum(report.level_counts.values()) == 56
+    assert separation_partition(w7) == profile
+    assert sum(separation_partition(w7).values()) == 56
 
     neg_w7 = tuple(-c for c in w7)
-    report = separation_partition(orb, neg_w7)
-    assert report.level_counts == profile
-    assert report.evaluate(neg_w7) == 3
+    assert separation_partition(neg_w7) == profile
 
     some_other = next(x for x in orb.support if x not in (w7, neg_w7))
-    report = separation_partition(orb, some_other)
-    assert report.level_counts == profile
+    assert separation_partition(some_other) == profile
 
 
 def test_separation_partition_rejections():
+    # w must be a weight of the 56-point system: not zero, not a root, not
+    # a weight of another system
     system = build_root_system("E7", 7)
-    orb = orbit(system, fundamental_weight(system, 7))
     with pytest.raises(ValueError):
-        separation_partition(orb, system.zero())
+        separation_partition(system.zero())
+    with pytest.raises(ValueError):
+        separation_partition(system.simple_roots[0])
     b2 = build_root_system("B", 2)
-    small = orbit(b2, fundamental_weight(b2, 2))
     with pytest.raises(ValueError):
-        separation_partition(small, small.support[0])
+        separation_partition(fundamental_weight(b2, 2))
 
 
 def test_detect_on_omega_itself():

@@ -3,6 +3,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
@@ -86,7 +87,7 @@ VERIFY_E7_FAULTS = [
     ("04-reflection-table", "rootsystem", "reflection_matrix_table",
      lambda f: lambda system: tuple(zip(*f(system)))),
     ("05-hyperplane-partition", "affgeom", "separation_partition",
-     lambda f: lambda weights, w: replace(f(weights, w), level_counts={})),
+     lambda f: lambda w: {}),
 ]
 
 
@@ -394,7 +395,8 @@ def test_frobmodel_line_set_fails_on_a_lost_triple(runner, tmp_path, monkeypatch
     from microweight import frobmodel
 
     lines = frobmodel.line_set
-    monkeypatch.setattr(frobmodel, "line_set", lambda delta: lines(delta)[1:])
+    monkeypatch.setattr(frobmodel, "line_set",
+                        lambda delta: islice(lines(delta), 1, None))
     path = write_delta(tmp_path, [(0,), (1,), (2,)], [(0,)])
     result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "line-set")
     assert result.exit_code == 1

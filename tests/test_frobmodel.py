@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from microweight import (
 )
 from microweight.frobmodel import sum_set
 from microweight.minuscule import cube_normal_form
-from microweight.suites import load_oracle_counts
+from microweight.suites import frobmodel_suite, load_oracle_counts
 
 PM1 = ((1,), (-1,))
 SQUARE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -150,14 +151,29 @@ def test_weil_involution_stays_in_large_delta():
 
 def test_line_and_b_sets():
     delta = build_delta([(0,), (1,), (2,)], [(0,)])
-    lines = line_set(delta)
+    lines = list(line_set(delta))
     assert set(lines) == {((1, 0, 0), (1, 1, 0), (1, 2, 0)),
                           ((1, 2, 0), (1, 1, 0), (1, 0, 0))}
     assert b_set(delta) == {(0, 1, 0), (0, -1, 0)}
 
     free = build_delta(SQUARE, [(0,)])
-    assert line_set(free) == []
+    assert list(line_set(free)) == []
     assert b_set(free) == set()
+
+
+def test_line_set_check_counts_without_storing_the_triples():
+    # 256 points in one progression have 32,512 ordered line triples; the
+    # check counts them as they are generated, well under 1 MB at its peak
+    tracemalloc.start()
+    try:
+        report = frobmodel_suite(build_delta([(i,) for i in range(256)], [(0,)]),
+                                 "line-set")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (check,) = report.checks
+    assert check.witness == 32512 and report.passed
+    assert peak < 1_000_000
 
 
 def test_b_set_lands_in_first_factor_block():
@@ -177,7 +193,7 @@ def test_fiber_constancy():
     adjoint = build_delta([(-1,), (0,), (1,)], PM1)
     verdict = fiber_constancy_check(adjoint)
     assert verdict.ok
-    assert len(line_set(adjoint)) == 4  # one unordered triple per fiber
+    assert len(list(line_set(adjoint))) == 4  # one unordered triple per fiber
 
     with pytest.raises(StructureError):
         fiber_constancy_check(build_delta(PM1, [(0,), (1,), (2,)]))

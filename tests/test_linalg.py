@@ -160,28 +160,22 @@ def test_solve_in_basis_rejects_a_dependent_basis_and_unequal_lengths():
 
 
 def _float_cases():
-    from microweight import AffineMap, build_root_system, orbit, separation_partition
+    from microweight import AffineMap, build_root_system, separation_partition
     from microweight.weylorbit import fundamental_weight
 
-    system = build_root_system("E7", 7)
-    w7 = fundamental_weight(system, 7)
-    orb = orbit(system, w7)
+    w7 = fundamental_weight(build_root_system("E7", 7), 7)
     identity = AffineMap(((1, 0), (0, 1)), (0, 0))
     return {
         "rank": lambda: linalg.rank([(1, 0.5)]),
         "invert": lambda: linalg.invert([(2.0, 1), (1, 1)]),
         "solve_in_basis": lambda: linalg.solve_in_basis([(1, 0)], (0.5, 0)),
-        "separation_partition": lambda: separation_partition(
-            orb, tuple(map(float, w7))),
-        "SeparationReport.evaluate": lambda: separation_partition(
-            orb, w7).evaluate(tuple(map(float, w7))),
+        "separation_partition": lambda: separation_partition(tuple(map(float, w7))),
         "AffineMap.apply": lambda: identity.apply((0.5, 1)),
     }
 
 
 @pytest.mark.parametrize("name", ["rank", "invert", "solve_in_basis",
-                                  "separation_partition", "SeparationReport.evaluate",
-                                  "AffineMap.apply"])
+                                  "separation_partition", "AffineMap.apply"])
 def test_a_float_is_rejected(name):
     with pytest.raises(ValueError, match="not an int or a Fraction"):
         _float_cases()[name]()

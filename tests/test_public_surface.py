@@ -1,9 +1,12 @@
 """Every public function is reached by something that backs a claim: a CLI
 suite, the CLI itself, the acceptance gate or the benchmark's traced
-names.  A function that none of them names is unreached API."""
+names.  A function that none of them names is unreached API.  A public
+method or property of an exported class is reached when that text names
+it or when library code outside its own class uses it."""
 
 import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,32 @@ def test_public_function_is_reached(name):
     assert re.search(rf"\b{name}\b", REACHING_TEXT), (
         f"{name} is named by no suite, CLI command, acceptance criterion "
         "or traced benchmark function")
+
+
+def _library_text_outside(cls):
+    """The library's source with the body of ``cls`` left out."""
+    own = inspect.getsource(cls)
+    return "\n".join(path.read_text(encoding="utf-8").replace(own, "")
+                     for path in sorted((ROOT / "src" / "microweight").glob("*.py")))
+
+
+def _public_methods():
+    found = [(cls, name) for cls in vars(microweight).values()
+             if inspect.isclass(cls) and cls.__module__.startswith("microweight.")
+             for name, obj in vars(cls).items()
+             if not name.startswith("_")
+             and (inspect.isfunction(obj) or isinstance(obj, (property, cached_property)))]
+    return sorted(found, key=lambda pair: (pair[0].__name__, pair[1]))
+
+
+PUBLIC_METHODS = _public_methods()
+
+
+@pytest.mark.parametrize("cls, name", PUBLIC_METHODS,
+                         ids=[f"{c.__name__}.{n}" for c, n in PUBLIC_METHODS])
+def test_public_method_is_reached(cls, name):
+    assert (re.search(rf"\b{name}\b", REACHING_TEXT)
+            or re.search(rf"\.{name}\b", _library_text_outside(cls))), (
+        f"{cls.__name__}.{name} is named by no suite, CLI command, acceptance "
+        "criterion or traced benchmark function, and no library code outside "
+        f"{cls.__name__} uses it")

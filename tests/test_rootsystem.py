@@ -192,6 +192,17 @@ def test_system_identity_and_cache():
     assert build_root_system("B", 3) != build_root_system("C", 3)
 
 
+def test_equality_compares_the_simple_roots():
+    a = RootSystem("X", [(1, -1, 0), (0, 1, -1)])
+    b = RootSystem("X", [(1, 0), (0, 1)])
+    assert (len(a.roots), len(b.roots)) == (6, 4)
+    assert a != b
+    for label, rank in ALL_SYSTEMS:
+        s = build_root_system(label, rank)
+        rebuilt = RootSystem(s.type_label, s.simple_roots)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+
+
 @pytest.mark.parametrize("label,rank", ALL_SYSTEMS + [("A", 7), ("B", 6), ("D", 7)])
 def test_positive_roots_are_the_nonnegative_combinations(label, rank):
     """The positive roots are the roots whose simple-root coefficients,
