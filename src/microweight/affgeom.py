@@ -10,18 +10,20 @@ assembled map.
 Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
 in every coordinate, never a coerced float), and point sets are cleared
 to one common denominator by ``linalg.clear_denominators``, so the scans
-and the detection run on int tuples.
+and the detection run on int tuples.  The collinearity scans count
+primitive directions as single ints, packed by ``linalg.pack_points``.
+A configuration's points as Fraction tuples are built only when read.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import eq, floordiv, mul
 
 from . import linalg
-from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale, sub, vec
+from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale, sub
 from .rootsystem import (build_root_system, int_points, int_weight,
                          to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
@@ -37,64 +39,66 @@ class Configuration:
     Coordinates must be ints or Fractions; a bool, float or string is
     rejected with a ValueError, never coerced.
 
-    ``points`` holds the points as sorted tuples of Fractions.  The
-    integer form is built once on construction: ``den`` is the least
-    common denominator of all coordinates and ``int_points[i]`` is
-    ``den * points[i]`` as a tuple of ints, in the same order.  Affine
-    dimension, barycenter and antipodal symmetry are computed from the
-    integer form and cached; instances are immutable.
+    ``den`` is the least common denominator of all coordinates and
+    ``int_points`` holds the points times ``den`` as sorted tuples of
+    ints.  Affine dimension, barycenter and antipodal symmetry are
+    computed from them on construction.  ``points``, the same points as
+    sorted tuples of Fractions, is built only when it is read.
+    Instances are immutable.
     """
 
     def __init__(self, points):
-        points = [tuple(p) for p in points]
         den, ints = clear_denominators(points)
         if not ints:
             raise ValueError("a configuration needs at least one point")
         dim = len(ints[0])
         if any(len(q) != dim for q in ints):
             raise ValueError("points have inconsistent dimensions")
-        pts = list(map(vec, points))
-        if len(set(ints)) != len(ints):
-            raise ValueError("configuration points must be distinct")
         # scaling by den > 0 keeps the lexicographic order
-        pairs = sorted(zip(ints, pts))
-        self.points = tuple(p for _, p in pairs)
-        self.int_points = tuple(q for q, _ in pairs)
+        ints.sort()
+        if any(map(eq, ints, ints[1:])):
+            raise ValueError("configuration points must be distinct")
+        self.int_points = tuple(ints)
         self.den = den
         self.dim = dim
-        n = len(pts)
+        n = len(ints)
         sums = [sum(col) for col in zip(*ints)]
         self.barycenter = tuple(Fraction(s, n * den) for s in sums)
-        base = self.int_points[0]
+        base = ints[0]
         self.affine_dimension = len(linalg.independent_rows(
-            [sub(q, base) for q in self.int_points[1:]], dim))
-        # p is mirrored to 2*barycenter - p; times n*den that is 2*sums - n*q
-        scaled = {tuple(n * x for x in q) for q in self.int_points}
-        self.antipodal = all(
-            tuple(2 * s - n * x for s, x in zip(sums, q)) in scaled
-            for q in self.int_points)
+            [sub(q, base) for q in ints[1:]], dim))
+        # p -> 2*barycenter - p reverses the sorted order, so it must pair
+        # q_i with q_{n-1-i}: times n*den, n*(q_i + q_{n-1-i}) = 2*sums
+        twice = [2 * s for s in sums]
+        self.antipodal = all([n * (x + y) for x, y in zip(p, q)] == twice
+                             for p, q in zip(ints, reversed(ints)))
+
+    @cached_property
+    def points(self):
+        return tuple(tuple(Fraction(x, self.den) for x in q) for q in self.int_points)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.int_points)
 
     def __repr__(self):
-        return f"Configuration({len(self.points)} points, dim {self.dim})"
+        return f"Configuration({len(self.int_points)} points, dim {self.dim})"
 
 
-def _directions_from(int_points, i):
-    """Primitive integer directions from point i to each later point.
+def _direction_keys(ints):
+    """``(i, keys)`` for each sorted int point i with at least two later
+    points: the packed keys (``linalg.pack_points``) of the primitive
+    directions from point i to each later point, in order.
 
-    The points are sorted, so every later point differs from point i first
-    in a larger coordinate: each direction already has its first nonzero
-    entry positive and needs no sign normalization.
-    """
-    p = int_points[i]
-    out = []
-    for q in int_points[i + 1:]:
-        d = sub(q, p)
-        g = gcd(*d)
-        out.append(d if g == 1 else tuple(x // g for x in d))
-    return out
+    The packing is linear and one-to-one on differences of two points, so
+    the primitive direction (q_j - q_i) / g has the key (K_j - K_i) // g,
+    with g the gcd of the coordinate differences.  Every later point
+    differs from point i first in a larger coordinate, so each direction
+    already has its first nonzero entry positive."""
+    keys, _ = linalg.pack_points(ints)
+    cols = list(zip(*ints))
+    for i in range(len(ints) - 2):
+        gcds = map(gcd, *[map(x.__rsub__, col[i + 1:]) for x, col in zip(ints[i], cols)])
+        yield i, map(floordiv, map(keys[i].__rsub__, keys[i + 1:]), gcds)
 
 
 def collinear_triple_count(config):
@@ -102,10 +106,9 @@ def collinear_triple_count(config):
 
     Each triple is counted once, from its smallest point, as a pair of
     later points in the same direction."""
-    ints = config.int_points
     total = 0
-    for i in range(len(ints)):
-        for k in Counter(_directions_from(ints, i)).values():
+    for _, keys in _direction_keys(config.int_points):
+        for k in Counter(keys).values():
             total += k * (k - 1) // 2
     return total
 
@@ -116,17 +119,18 @@ def no_three_collinear(config):
     if collinear_triple_count(config) == 0:
         return True, None
     ints = config.int_points
-    for i in range(len(ints)):
+    for i, keys in _direction_keys(ints):
         # (b, c) for every later pair in a common direction; the first
         # point of each direction is remembered
         seen, pairs = {}, []
-        for j, d in enumerate(_directions_from(ints, i), start=i + 1):
+        for j, d in enumerate(keys, start=i + 1):
             b = seen.setdefault(d, j)
             if b != j:
                 pairs.append((b, j))
         if pairs:
             b, c = min(pairs)
-            return False, (config.points[i], config.points[b], config.points[c])
+            return False, tuple(tuple(Fraction(x, config.den) for x in ints[t])
+                                for t in (i, b, c))
     raise AssertionError("positive triple count but no witness found")
 
 

@@ -16,6 +16,7 @@ from microweight import (
     orbit,
     separation_partition,
 )
+from microweight.frobmodel import StructureError, build_delta, fiber_constancy_check
 from microweight.linalg import invert, solve_in_basis, vec
 from microweight.minuscule import cube_normal_form
 from microweight.suites import collinearity_suite
@@ -33,6 +34,9 @@ def test_configuration_invariants():
     assert square.barycenter == (Fraction(1, 2), Fraction(1, 2))
     assert square.antipodal
     assert cfg([(3, 4)]).affine_dimension == 0
+    point = Configuration([()])
+    assert len(point) == 1 and point.dim == point.affine_dimension == 0
+    assert point.antipodal
     assert not cfg([(0, 0), (1, 0), (0, 1)]).antipodal
     with pytest.raises(ValueError):
         Configuration([])
@@ -40,6 +44,29 @@ def test_configuration_invariants():
         Configuration([vec([0, 0]), vec([0, 0])])
     with pytest.raises(ValueError):
         Configuration([vec([0, 0]), vec([0, 0, 1])])
+
+
+def is_fraction_point(p):
+    return type(p) is tuple and all(type(x) is Fraction for x in p)
+
+
+def test_points_are_fraction_tuples_built_when_read():
+    config = Configuration([(2, 0), (0, 0), (1, 0), (0, Fraction(1, 2))])
+    assert len(config) == 4
+    assert repr(config) == "Configuration(4 points, dim 2)"
+    ok, witness = no_three_collinear(config)
+    assert "points" not in vars(config)
+    assert not ok and witness == ((0, 0), (1, 0), (2, 0))
+    assert all(map(is_fraction_point, witness))
+    assert config.points == ((0, 0), (0, Fraction(1, 2)), (1, 0), (2, 0))
+    assert all(map(is_fraction_point, config.points))
+
+
+def test_collinear_factor_error_names_fraction_witness():
+    delta = build_delta([(0,)], [(2,), (0,), (1,)])
+    with pytest.raises(StructureError, match=re.escape(
+            "collinear triple: ((Fraction(0, 1),), (Fraction(1, 1),), (Fraction(2, 1),))")):
+        fiber_constancy_check(delta)
 
 
 @pytest.mark.parametrize("point", [(0.5, 1), (True, 0), ("1", 0)])
@@ -50,6 +77,7 @@ def test_configuration_rejects_inexact_coordinates(point):
 
 def test_collinear_triple_count_small_cases():
     assert collinear_triple_count(cfg([(5, 5)])) == 0
+    assert collinear_triple_count(Configuration([()])) == 0
     assert collinear_triple_count(cfg([(0, 0), (1, 0), (2, 0), (0, 1)])) == 1
     assert collinear_triple_count(cfg([(0, 0), (1, 0), (2, 0), (3, 0)])) == 4
     assert collinear_triple_count(cfg(product((1, -1), repeat=3))) == 0
@@ -61,6 +89,7 @@ def test_no_three_collinear_witness():
     assert witness == (vec([0, 0]), vec([1, 0]), vec([2, 0]))
     ok, witness = no_three_collinear(cfg(product((1, -1), repeat=3)))
     assert ok and witness is None
+    assert no_three_collinear(Configuration([()])) == (True, None)
 
 
 def test_no_three_collinear_on_a5_middle_form():

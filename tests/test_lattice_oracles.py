@@ -3,7 +3,9 @@ oracles written here, sharing no code with the library.
 
 Configurations are random rational point sets in dimensions 1-4, with
 negative numerators and denominators, planted collinear triples and
-planted antipodal symmetry.
+planted antipodal symmetry.  The collinearity scans also get point sets
+in dimensions 0-6 with coordinates past 2**64, where the packing base of
+the direction keys is huge.
 """
 
 from fractions import Fraction
@@ -65,15 +67,40 @@ def fraction_rank(rows):
     return r
 
 
-@settings(max_examples=200)
-@given(point_sets())
+BIG = 2 ** 64
+wide_ints = st.integers(-3, 3) | st.integers(BIG, 4 * BIG) | st.integers(-4 * BIG, -BIG)
+
+
+@st.composite
+def wide_collinear_sets(draw):
+    """Int or Fraction point sets in dimensions 0-6 with coordinates past
+    2**64, in a random order.  Planted triples a, a + s*g*u, a + t*g*u lie
+    on lines whose direction g*u has a gcd of at least g >= 2."""
+    dim = draw(st.integers(0, 6))
+    point = st.tuples(*[wide_ints] * dim)
+    pts = draw(st.lists(point, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(pts))
+        g = draw(st.integers(2, 6))
+        u = draw(point)
+        for t in draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2,
+                               max_size=2, unique=True)):
+            pts.append(tuple(x + t * g * y for x, y in zip(a, u)))
+    den = draw(st.integers(1, 6))
+    if den > 1:
+        pts = [tuple(Fraction(x, den) for x in p) for p in pts]
+    return draw(st.permutations(sorted(set(pts))))
+
+
+@settings(max_examples=300)
+@given(point_sets() | wide_collinear_sets())
 def test_collinear_triple_count_matches_brute_force(pts):
     expected = sum(is_collinear(*t) for t in combinations(pts, 3))
     assert collinear_triple_count(Configuration(pts)) == expected
 
 
-@settings(max_examples=200)
-@given(point_sets())
+@settings(max_examples=300)
+@given(point_sets() | wide_collinear_sets())
 # two lines through the smallest point; the later line is completed first
 @example([(0, 0), (1, 0), (1, 1), (2, 2), (3, 0)])
 def test_witness_is_the_first_collinear_triple(pts):
@@ -104,9 +131,6 @@ def test_configuration_invariants_match_fraction_computations(pts):
 
 small_int_sets = st.integers(1, 3).flatmap(
     lambda dim: st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=10))
-
-BIG = 2 ** 64
-wide_ints = st.integers(-3, 3) | st.integers(BIG, 4 * BIG) | st.integers(-4 * BIG, -BIG)
 
 
 @st.composite
