@@ -2,17 +2,21 @@
 
 Covers collinearity scans, the level counts of the separating hyperplane
 partition of the 56-point weight system, and detection of point sets
-affinely isomorphic to that weight system in four stages: size, dimension
-and antipodality; the row profile of the hat matrix, an affine invariant;
-backtracking on equal hat-matrix entries; and an integer verify of the
-assembled map.
+affinely isomorphic to that weight system in four stages: size,
+antipodality and dimension; the row profile of the hat matrix, an affine
+invariant; backtracking on equal hat-matrix entries; and an integer
+verify of the assembled map.
 
 Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
 in every coordinate, never a coerced float), and point sets are cleared
 to one common denominator by ``linalg.clear_denominators``, so the scans
-and the detection run on int tuples.  The collinearity scans count
-primitive directions as single ints, packed by ``linalg.pack_points``.
-A configuration's points as Fraction tuples are built only when read.
+and the detection run on int tuples.  The collinearity count first
+tests, when there are more than four points per dimension, whether the
+points lie on one ellipsoid of their affine hull, which no line meets
+three times; otherwise it counts primitive directions as single ints,
+packed by ``linalg.pack_points``.  A configuration checks and sorts its
+int points on construction; its Fraction points, barycenter, affine
+dimension and antipodal symmetry are each computed when first read.
 """
 
 from collections import Counter
@@ -41,10 +45,11 @@ class Configuration:
 
     ``den`` is the least common denominator of all coordinates and
     ``int_points`` holds the points times ``den`` as sorted tuples of
-    ints.  Affine dimension, barycenter and antipodal symmetry are
-    computed from them on construction.  ``points``, the same points as
-    sorted tuples of Fractions, is built only when it is read.
-    Instances are immutable.
+    ints; construction checks and sorts them and computes nothing else.
+    ``points`` (the same points as sorted tuples of Fractions),
+    ``barycenter``, ``affine_dimension`` and ``antipodal`` are each
+    computed from the int points when first read.  Instances are
+    immutable.
     """
 
     def __init__(self, points):
@@ -61,21 +66,30 @@ class Configuration:
         self.int_points = tuple(ints)
         self.den = den
         self.dim = dim
-        n = len(ints)
-        sums = [sum(col) for col in zip(*ints)]
-        self.barycenter = tuple(Fraction(s, n * den) for s in sums)
-        base = ints[0]
-        self.affine_dimension = len(linalg.independent_rows(
-            [sub(q, base) for q in ints[1:]], dim))
-        # p -> 2*barycenter - p reverses the sorted order, so it must pair
-        # q_i with q_{n-1-i}: times n*den, n*(q_i + q_{n-1-i}) = 2*sums
-        twice = [2 * s for s in sums]
-        self.antipodal = all([n * (x + y) for x, y in zip(p, q)] == twice
-                             for p, q in zip(ints, reversed(ints)))
 
     @cached_property
     def points(self):
         return tuple(tuple(Fraction(x, self.den) for x in q) for q in self.int_points)
+
+    @cached_property
+    def barycenter(self):
+        n = len(self.int_points) * self.den
+        return tuple(Fraction(sum(col), n) for col in zip(*self.int_points))
+
+    @cached_property
+    def affine_dimension(self):
+        base, *rest = self.int_points
+        return len(linalg.independent_rows([sub(q, base) for q in rest], self.dim))
+
+    @cached_property
+    def antipodal(self):
+        # p -> 2*barycenter - p reverses the sorted order, so it must pair
+        # q_i with q_{n-1-i}: times n*den, n*(q_i + q_{n-1-i}) = 2*sums
+        ints = self.int_points
+        n = len(ints)
+        twice = [2 * sum(col) for col in zip(*ints)]
+        return all([n * (x + y) for x, y in zip(p, q)] == twice
+                   for p, q in zip(ints, reversed(ints)))
 
     def __len__(self):
         return len(self.int_points)
@@ -101,13 +115,46 @@ def _direction_keys(ints):
         yield i, map(floordiv, map(keys[i].__rsub__, keys[i + 1:]), gcds)
 
 
+def _on_one_ellipsoid(ints):
+    """True when the distinct int points lie on one nondegenerate
+    ellipsoid of their affine hull, so that no line meets three of them.
+
+    With y = n q - sums the centred points (n times the offset from the
+    barycenter) and C the matrix with rows y, the rows of C^T C that are
+    independent pick coordinates on which the columns of C are
+    independent.  On those coordinates the centred points z lose nothing,
+    M = sum z z^T is positive definite, and ``int_inverse`` gives
+    adj = det(M) M^-1, so the test is that z^T adj z is one int for every
+    point.  Dividing adj by the gcd of its entries changes none of the
+    comparisons and keeps the values small: on the sign vectors of rank m
+    adj is a huge multiple of the identity."""
+    n = len(ints)
+    sums = [sum(col) for col in zip(*ints)]
+    cols = [[n * x - s for x in col] for col, s in zip(zip(*ints), sums)]
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    coords = linalg.independent_rows(gram)
+    _, adj = linalg.int_inverse([[gram[i][j] for j in coords] for i in coords])
+    g = gcd(*[gcd(*row) for row in adj])
+    adj = [[x // g for x in row] for row in adj]
+    values = (sum(map(mul, z, [sum(map(mul, row, z)) for row in adj]))
+              for z in zip(*[cols[c] for c in coords]))
+    first = next(values, None)
+    return all(v == first for v in values)
+
+
 def collinear_triple_count(config):
     """Exact number of unordered collinear triples in the configuration.
 
-    Each triple is counted once, from its smallest point, as a pair of
-    later points in the same direction."""
+    With more than four points per dimension, where the O(n dim^2)
+    ellipsoid test (``_on_one_ellipsoid``) costs less than the O(n^2 dim)
+    scan, the points are first tested for lying on one ellipsoid; if they
+    do, the count is 0.  Otherwise each triple is counted once, from its
+    smallest point, as a pair of later points in the same direction."""
+    ints = config.int_points
+    if len(ints) > 4 * config.dim and _on_one_ellipsoid(ints):
+        return 0
     total = 0
-    for _, keys in _direction_keys(config.int_points):
+    for _, keys in _direction_keys(ints):
         for k in Counter(keys).values():
             total += k * (k - 1) // 2
     return total
@@ -270,20 +317,21 @@ def detect_e7_config(config, node_cap=10 ** 7):
     provably not of that type.  Raises DetectionInconclusive if the
     backtracking search exceeds ``node_cap`` candidate expansions.
 
-    Four stages on machine ints: (1) size, affine dimension 7 and antipodal
-    symmetry; (2) the row profile of the hat matrix P of the centred points
-    (1/8 and -1/8 once, 1/24 and -1/24 27 times each); (3) backtracking
-    that assigns target images to 7 independent basis points, keeping a
-    candidate only when P is equal on every assigned pair; (4) a verify
-    that the linear map fixed by the basis images carries every point into
-    the target, since equal P on the basis does not imply that.
+    Four stages on machine ints: (1) size, antipodal symmetry (an O(n)
+    check, so it comes first) and affine dimension 7; (2) the row profile
+    of the hat matrix P of the centred points (1/8 and -1/8 once, 1/24 and
+    -1/24 27 times each); (3) backtracking that assigns target images to 7
+    independent basis points, keeping a candidate only when P is equal on
+    every assigned pair; (4) a verify that the linear map fixed by the
+    basis images carries every point into the target, since equal P on the
+    basis does not imply that.
     """
     target, target_hat, profile = _target()
     if len(config) != len(target):
         return None
-    if config.affine_dimension != 7:
-        return None
     if not config.antipodal:
+        return None
+    if config.affine_dimension != 7:
         return None
 
     # the centred points y = (n den / g) (p - barycenter), as ints

@@ -13,6 +13,11 @@ from . import serialize, suites
 from .rootsystem import TYPE_LABELS, RootSystemError
 
 HARD_MAX_RANK_DEFAULT = 10
+# the highest ceiling a config file may set: at rank m the 2.7 scan builds
+# 2^m sign vectors per form; `--json verify-lemmas --suite 2.7` took
+# 7.5-10.6 s at rank 16 and 19 s at rank 17 on a shared 2-core x86-64 host
+# (Python 3.11)
+HARD_MAX_RANK_LIMIT = 16
 CONFIG_KEYS = ("hard_max_rank", "fixture_dir")
 
 
@@ -69,10 +74,13 @@ def main(ctx, as_json, quiet, config_path):
     ctx.obj["fixture_dir"] = os.environ.get(
         "MICROWEIGHT_FIXTURE_DIR", cfg.get("fixture_dir"))
     try:
-        ctx.obj["hard_max_rank"] = int(cfg.get("hard_max_rank",
-                                               HARD_MAX_RANK_DEFAULT))
+        hard_max_rank = int(cfg.get("hard_max_rank", HARD_MAX_RANK_DEFAULT))
     except ValueError:
         raise click.UsageError("hard_max_rank must be an integer")
+    if hard_max_rank > HARD_MAX_RANK_LIMIT:
+        raise click.UsageError(f"hard_max_rank {hard_max_rank} exceeds the "
+                               f"maximum {HARD_MAX_RANK_LIMIT}")
+    ctx.obj["hard_max_rank"] = hard_max_rank
 
 
 @main.command()

@@ -62,6 +62,25 @@ def test_points_are_fraction_tuples_built_when_read():
     assert all(map(is_fraction_point, config.points))
 
 
+def test_hull_data_is_computed_when_read():
+    hull = {"affine_dimension", "antipodal", "barycenter"}
+    # 32 points in dimension 5 pass the ellipsoid certificate; the 4 points
+    # of dimension 2 are scanned and hold a collinear triple
+    accepting = Configuration(list(product((1, -1), repeat=5)))
+    rejecting = Configuration([(2, 0), (0, 0), (1, 0), (0, Fraction(1, 2))])
+    for config, verdict in ((accepting, True), (rejecting, False)):
+        assert len(config) and repr(config)
+        assert no_three_collinear(config)[0] is verdict
+        assert not hull & vars(config).keys()
+    assert accepting.affine_dimension == 5 and accepting.antipodal is True
+    assert accepting.barycenter == (0,) * 5
+    assert rejecting.affine_dimension == 2 and rejecting.antipodal is False
+    assert rejecting.barycenter == (Fraction(3, 4), Fraction(1, 8))
+    for config in (accepting, rejecting):
+        assert hull <= vars(config).keys()
+        assert all(type(x) is Fraction for x in config.barycenter)
+
+
 def test_collinear_factor_error_names_fraction_witness():
     delta = build_delta([(0,)], [(2,), (0,), (1,)])
     with pytest.raises(StructureError, match=re.escape(

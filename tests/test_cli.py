@@ -8,7 +8,8 @@ from itertools import islice
 import pytest
 from click.testing import CliRunner
 
-from microweight.cli import main
+from microweight import suites
+from microweight.cli import HARD_MAX_RANK_LIMIT, main
 from microweight.linalg import neg
 from microweight.suites import default_fixture_path
 from microweight.weylorbit import WeightSet
@@ -197,6 +198,26 @@ def test_verify_lemmas_rank_limits(runner, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("hard_max_rank = 11\n", encoding="utf-8")
     # raising the ceiling makes the same rank acceptable (use a small run)
+    result = invoke(runner, "--config", str(cfg), "verify-lemmas",
+                    "--suite", "2.7", "--max-rank", "2")
+    assert result.exit_code == 0
+
+
+def test_config_rank_ceiling_is_bounded(runner, tmp_path, monkeypatch):
+    def no_forms(max_rank):
+        raise AssertionError(f"cube forms built to rank {max_rank}")
+
+    monkeypatch.setattr(suites, "_cube_forms_for_scan", no_forms)
+    cfg = tmp_path / "cfg"
+    too_high = HARD_MAX_RANK_LIMIT + 1
+    cfg.write_text(f"hard_max_rank = {too_high}\n", encoding="utf-8")
+    result = invoke(runner, "--config", str(cfg), "verify-lemmas",
+                    "--suite", "2.7", "--max-rank", str(too_high))
+    assert result.exit_code == 2
+    assert (f"hard_max_rank {too_high} exceeds the maximum {HARD_MAX_RANK_LIMIT}"
+            in result.output)
+    monkeypatch.undo()
+    cfg.write_text(f"hard_max_rank = {HARD_MAX_RANK_LIMIT}\n", encoding="utf-8")
     result = invoke(runner, "--config", str(cfg), "verify-lemmas",
                     "--suite", "2.7", "--max-rank", "2")
     assert result.exit_code == 0

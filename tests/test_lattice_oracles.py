@@ -5,16 +5,20 @@ Configurations are random rational point sets in dimensions 1-4, with
 negative numerators and denominators, planted collinear triples and
 planted antipodal symmetry.  The collinearity scans also get point sets
 in dimensions 0-6 with coordinates past 2**64, where the packing base of
-the direction keys is huge.
+the direction keys is huge, and sets of more than four points per
+dimension on which the ellipsoid certificate is tried first: affine
+images of sets on one ellipsoid, and the same sets with one point moved
+off it or added inside it.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from microweight import linalg
+from microweight import affgeom, linalg
 from microweight.affgeom import (Configuration, collinear_triple_count,
                                  midpoint_triples, no_three_collinear)
 
@@ -109,6 +113,111 @@ def test_witness_is_the_first_collinear_triple(pts):
     ok, witness = no_three_collinear(Configuration(pts))
     assert ok == (first is None)
     assert witness == first
+
+
+SIGNS_4 = list(product((1, -1), repeat=4))
+SIGNS_5 = list(product((1, -1), repeat=5))
+# the sign vectors and the points +-2 e_i of dimension 4, all of squared norm 4
+AXES_4 = [tuple(2 * s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+CELL_24 = SIGNS_4 + AXES_4
+
+
+def layered_24_cell(b):
+    """The 24-cell in two layers along a new first coordinate, the sign
+    vectors at height 0 and the +-2 e_i at height b, and the point at
+    height 9b/2 on that axis, which sorts last for b > 0 and first for
+    b < 0.  The barycenter is at height b/2, the covariance is diagonal
+    (22 b^2 along the axis, 24 elsewhere), and the 24 layered points
+    lie on one ellipsoid about the barycenter while the axis point does
+    not."""
+    return ([(0,) + p for p in SIGNS_4] + [(b,) + p for p in AXES_4]
+            + [(Fraction(9 * b, 2), 0, 0, 0, 0)])
+
+
+@st.composite
+def ellipsoid_sets(draw):
+    """``(points, on_ellipsoid)``: sets of more than four points per
+    dimension, so that ``collinear_triple_count`` tries the ellipsoid
+    certificate on them, with the answer it must give known by
+    construction.  The bases:
+
+    - the 32 sign vectors of dimension 5, or the 24-cell (``CELL_24``),
+      each on a sphere about its barycenter, with covariance a multiple of
+      the identity: on their ellipsoid;
+    - the same with the barycenter added, which leaves the covariance as
+      it is, so every point but the barycenter stays on the ellipsoid;
+    - the same with one point replaced by the midpoint of two others,
+      which is inside the sphere and on a line with them;
+    - ``layered_24_cell``: every point but one on the ellipsoid.
+
+    The base is placed on random coordinates of a dimension at least its
+    own (a degenerate hull when larger) and sent through a unimodular map
+    with multipliers past 2**64, rows scaled by rational factors or not,
+    and a shift past 2**64.  The layered axis stays coordinate 0, which
+    no row operation changes, so the axis point sorts first or last."""
+    kind = draw(st.sampled_from(["on", "center", "midpoint", "layered"]))
+    if kind == "layered":
+        base = layered_24_cell(draw(st.integers(-3, 3).filter(bool)))
+    else:
+        base = list(draw(st.sampled_from([SIGNS_5, CELL_24])))
+        if kind == "center":
+            base.append((0,) * len(base[0]))
+        elif kind == "midpoint":
+            i, j, k = draw(st.permutations(range(len(base))))[:3]
+            base[i] = tuple(Fraction(x + y, 2) for x, y in zip(base[j], base[k]))
+    m = len(base[0])
+    dim = draw(st.integers(m, (len(base) - 1) // 4))
+    slots = draw(st.permutations(range(dim)))[:m]
+    if kind == "layered":
+        slots = [0] + [c for c in slots if c][:m - 1]
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, dim))):
+        i, j = draw(st.permutations(range(kind == "layered", dim)))[:2]
+        k = draw(wide_ints)
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        factors = draw(st.lists(rationals.filter(bool), min_size=dim, max_size=dim))
+        rows = [[f * x for x in row] for f, row in zip(factors, rows)]
+    shift = draw(st.tuples(*[wide_ints] * dim))
+    points = []
+    for p in base:
+        x = [0] * dim
+        for c, v in zip(slots, p):
+            x[c] = v
+        points.append(tuple(sum(map(mul, row, x)) + s for row, s in zip(rows, shift)))
+    return points, kind == "on"
+
+
+@st.composite
+def line_sets(draw):
+    """``(points, on_ellipsoid)``: more than four points per dimension on
+    one line, in dimensions 1-3, with coordinates past 2**64; no ellipsoid
+    holds five points of a line.  In dimension 0 the single point, which
+    the certificate accepts."""
+    dim = draw(st.integers(0, 3))
+    if dim == 0:
+        return [()], True
+    a = draw(st.tuples(*[wide_ints] * dim))
+    u = draw(st.tuples(*[wide_ints] * dim).filter(any))
+    ts = draw(st.lists(st.integers(-20, 20), min_size=4 * dim + 1,
+                       max_size=4 * dim + 3, unique=True))
+    den = draw(st.integers(1, 6))
+    return [tuple(Fraction(x + t * y, den) for x, y in zip(a, u)) for t in ts], False
+
+
+@settings(max_examples=150, deadline=None)
+@given(ellipsoid_sets() | line_sets())
+# one point off the ellipsoid, sorted last, first and in the middle
+@example((layered_24_cell(2), False))
+@example((layered_24_cell(-1), False))
+@example((SIGNS_5 + [(0,) * 5], False))
+def test_ellipsoid_certificate_matches_brute_force(drawn):
+    pts, on_ellipsoid = drawn
+    config = Configuration(pts)
+    assert len(config) > 4 * config.dim
+    assert affgeom._on_one_ellipsoid(config.int_points) == on_ellipsoid
+    expected = sum(is_collinear(*t) for t in combinations(pts, 3))
+    assert collinear_triple_count(config) == expected
 
 
 @settings(max_examples=200)
