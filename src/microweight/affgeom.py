@@ -10,12 +10,14 @@ verify of the assembled map.
 Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
 in every coordinate, never a coerced float), and point sets are cleared
 to one common denominator by ``linalg.clear_denominators``, so the scans
-and the detection run on int tuples.  The collinearity count first
-tests, when there are more than four points per dimension, whether the
-points lie on one ellipsoid of their affine hull, which no line meets
-three times; otherwise it counts primitive directions as single ints,
-packed by ``linalg.pack_points``.  A configuration checks and sorts its
-int points on construction; its Fraction points, barycenter, affine
+and the detection run on int tuples.  One kernel (``_hat_form``) gives
+the affine dimension and the hat matrix of the centred points: detection
+reads its row profile, and the collinearity count, with more than four
+points per dimension, first tests whether its diagonal is constant, so
+that the points lie on one ellipsoid of their affine hull, which no line
+meets three times; otherwise it counts primitive directions as single
+ints, packed by ``linalg.pack_points``.  A configuration checks and sorts
+its int points on construction; its Fraction points, barycenter, affine
 dimension and antipodal symmetry are each computed when first read.
 """
 
@@ -27,7 +29,7 @@ from math import gcd
 from operator import eq, floordiv, mul
 
 from . import linalg
-from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale, sub
+from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale
 from .rootsystem import (build_root_system, int_points, int_weight,
                          to_simple_root_coords)
 from .weylorbit import fundamental_weight, orbit, orbit_words
@@ -78,8 +80,7 @@ class Configuration:
 
     @cached_property
     def affine_dimension(self):
-        base, *rest = self.int_points
-        return len(linalg.independent_rows([sub(q, base) for q in rest], self.dim))
+        return len(_hat_form(self.int_points)[0])
 
     @cached_property
     def antipodal(self):
@@ -115,29 +116,39 @@ def _direction_keys(ints):
         yield i, map(floordiv, map(keys[i].__rsub__, keys[i + 1:]), gcds)
 
 
+def _hat_form(ints):
+    """``(coords, d, adj, centred)``: the hat matrix of n distinct int
+    points with coordinate sums s, which no invertible affine map changes.
+
+    The Gram matrix of the centred points y = n q - s (n times the offset
+    from the barycenter) is n (n Q^T Q - s s^T), from the raw columns; its
+    independent rows pick ``coords``, as many as the affine dimension, on
+    which the centred points lose nothing and M = sum y y^T is invertible.
+    ``centred(q)`` is y on coords, and ``adj / d = M^-1``, both divided by
+    the gcd of the entries of adj to keep them small (``d`` stays an int
+    as M adj = d I), so P(x, y) = centred(x)^T adj centred(y) / d."""
+    n = len(ints)
+    cols = list(zip(*ints))
+    sums = [sum(col) for col in cols]
+    gram = [[n * (n * sum(map(mul, a, b)) - s * t) for b, t in zip(cols, sums)]
+            for a, s in zip(cols, sums)]
+    coords = linalg.independent_rows(gram)
+    d, adj = linalg.int_inverse([[gram[i][j] for j in coords] for i in coords])
+    g = gcd(*[gcd(*row) for row in adj]) or 1
+
+    def centred(q):
+        return [n * q[c] - sums[c] for c in coords]
+    return coords, d // g, [[x // g for x in row] for row in adj], centred
+
+
 def _on_one_ellipsoid(ints):
     """True when the distinct int points lie on one nondegenerate
-    ellipsoid of their affine hull, so that no line meets three of them.
-
-    With y = n q - sums the centred points (n times the offset from the
-    barycenter) and C the matrix with rows y, the rows of C^T C that are
-    independent pick coordinates on which the columns of C are
-    independent.  On those coordinates the centred points z lose nothing,
-    M = sum z z^T is positive definite, and ``int_inverse`` gives
-    adj = det(M) M^-1, so the test is that z^T adj z is one int for every
-    point.  Dividing adj by the gcd of its entries changes none of the
-    comparisons and keeps the values small: on the sign vectors of rank m
-    adj is a huge multiple of the identity."""
-    n = len(ints)
-    sums = [sum(col) for col in zip(*ints)]
-    cols = [[n * x - s for x in col] for col, s in zip(zip(*ints), sums)]
-    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    coords = linalg.independent_rows(gram)
-    _, adj = linalg.int_inverse([[gram[i][j] for j in coords] for i in coords])
-    g = gcd(*[gcd(*row) for row in adj])
-    adj = [[x // g for x in row] for row in adj]
+    ellipsoid of their affine hull, so that no line meets three of them:
+    the diagonal of their hat matrix (``_hat_form``) is constant, that is
+    z^T adj z is one int for every centred point z."""
+    _, _, adj, centred = _hat_form(ints)
     values = (sum(map(mul, z, [sum(map(mul, row, z)) for row in adj]))
-              for z in zip(*[cols[c] for c in coords]))
+              for z in map(centred, ints))
     first = next(values, None)
     return all(v == first for v in values)
 
@@ -229,13 +240,14 @@ def _top_orbit():
     scale ``den``, and the last-coordinate dual as an ``int_weight`` pair.
     The dual is the vector d of the span with (d, alpha_j) equal to 1 for
     the last simple root and 0 otherwise, so (d, x) is the last
-    simple-root coordinate of any x in the span."""
+    simple-root coordinate of any x in the span; that is omega_7, the
+    orbit's own seed."""
     system = build_root_system("E7", 7)
-    words = orbit_words(system, fundamental_weight(system, 7))
+    top = fundamental_weight(system, 7)
+    words = orbit_words(system, top)
     points, den = int_points(system, words)
-    form = system.int_form
-    dual = int_weight(system, form.dual(system.rank - 1))
-    return words, points, den, dual
+    # d_7 = 2 omega_7 / (alpha_7, alpha_7), and every E7 root has norm 2
+    return words, points, den, int_weight(system, top)
 
 
 def separation_partition(w):
@@ -275,18 +287,12 @@ class AffineMap:
         return add(mat_vec(self.matrix, exact_tuple(x)), self.translation)
 
 
-def _hat(points, cols):
-    """``(d, row)``: ``d = det(X^T X)`` for the full-rank int points X,
-    and ``row(x)`` lists ``24 d P(x, y)`` as ints for y in cols, where
-    ``P(x, y) = x^T (X^T X)^-1 y``.  On the points, P is the hat matrix
-    ``X (X^T X)^-1 X^T``, which no invertible linear map changes."""
-    gram_cols = list(zip(*points))
-    d, inv = linalg.int_inverse([[dot(a, b) for b in gram_cols] for a in gram_cols])
-
-    def row(x):
-        w = [24 * v for v in mat_vec(inv, x)]
-        return [sum(map(mul, w, y)) for y in cols]
-    return d, row
+def _hat_rows(adj, xs, ys):
+    """``24 x^T adj y`` for y in ys, one list per x in xs: the rows of
+    ``24 d P`` of a ``_hat_form`` on centred points."""
+    for x in xs:
+        w = [24 * sum(map(mul, row, x)) for row in adj]
+        yield [sum(map(mul, w, y)) for y in ys]
 
 
 @lru_cache(maxsize=1)
@@ -294,8 +300,9 @@ def _target():
     """The sorted target points (barycenter 0), their hat matrix ``24 P``
     (entries 3, 1, -1, -3) and its row profile, the same for every row."""
     points = tuple(sorted(omega56()))
-    d, hat_row = _hat(points, points)
-    hat = tuple(tuple(v // d for v in hat_row(x)) for x in points)
+    _, d, adj, centred = _hat_form(points)
+    ys = list(map(centred, points))
+    hat = tuple(tuple(v // d for v in row) for row in _hat_rows(adj, ys, ys))
     return points, hat, Counter(hat[0])
 
 
@@ -318,8 +325,9 @@ def detect_e7_config(config, node_cap=10 ** 7):
     backtracking search exceeds ``node_cap`` candidate expansions.
 
     Four stages on machine ints: (1) size, antipodal symmetry (an O(n)
-    check, so it comes first) and affine dimension 7; (2) the row profile
-    of the hat matrix P of the centred points (1/8 and -1/8 once, 1/24 and
+    check, so it comes first) and affine dimension 7, the number of hull
+    coordinates of the hat-matrix kernel ``_hat_form``; (2) the row profile
+    of its hat matrix P of the centred points (1/8 and -1/8 once, 1/24 and
     -1/24 27 times each); (3) backtracking that assigns target images to 7
     independent basis points, keeping a candidate only when P is equal on
     every assigned pair; (4) a verify that the linear map fixed by the
@@ -331,33 +339,25 @@ def detect_e7_config(config, node_cap=10 ** 7):
         return None
     if not config.antipodal:
         return None
-    if config.affine_dimension != 7:
+    coords, d, adj, centred = _hat_form(config.int_points)
+    if len(coords) != 7:
         return None
 
-    # the centred points y = (n den / g) (p - barycenter), as ints
     n = len(config)
-    sums = [sum(col) for col in zip(*config.int_points)]
-    centred = [tuple(n * x - t for x, t in zip(q, sums)) for q in config.int_points]
-    g = gcd(*(x for y in centred for x in y))
-    centred = [tuple(x // g for x in y) for y in centred]
+    pts = list(map(centred, config.int_points))
     # negation reverses the sorted order and, with an even number of
     # points, fixes none: the first half holds one point of each pair
-    basis = linalg.independent_rows(centred[:n // 2], 7)
-    # coordinates independent on the basis are independent on its span,
-    # which holds every centred point
-    coords = linalg.independent_rows(list(zip(*(centred[k] for k in basis))), 7)
-    pts = [tuple(y[c] for c in coords) for y in centred]
     half = pts[:n // 2]
-
-    d, hat_row = _hat(pts, half)
-    if not _profile_matches(d, map(hat_row, half), profile):
+    if not _profile_matches(d, _hat_rows(adj, half, half), profile):
         return None
 
+    basis = linalg.independent_rows(half, 7)
     # 24 P on the basis pairs, None where it is not an integer
-    need = [[q if r == 0 else None for q, r in (divmod(row[j], d) for j in basis)]
-            for row in (hat_row(half[k]) for k in basis)]
+    basis_pts = [half[k] for k in basis]
+    need = [[q if r == 0 else None for q, r in (divmod(v, d) for v in row)]
+            for row in _hat_rows(adj, basis_pts, basis_pts)]
     # kappa . B = e * y: the basis coordinates of y, times e
-    e, b_inv = linalg.int_inverse([pts[i] for i in basis])
+    e, b_inv = linalg.int_inverse(basis_pts)
     b_inv_cols = list(zip(*b_inv))
     kappas = [[sum(map(mul, col, y)) for col in b_inv_cols] for y in pts]
     target_set = {tuple(e * x for x in t) for t in target}
@@ -394,8 +394,8 @@ def detect_e7_config(config, node_cap=10 ** 7):
 
     # on coords, y maps to (y . E) . T / e, with E = e B^-1 and T the
     # basis images as rows: the matrix is s (E . T) transposed, with
-    # s = n den / (g e), built once, in Fractions
-    s = Fraction(n * config.den, g * e)
+    # s = n den / e, built once, in Fractions
+    s = Fraction(n * config.den, e)
     image_cols = list(zip(*(target[a] for a in assigned)))
     matrix = [[Fraction(0)] * config.dim for _ in range(7)]
     for c, row in zip(coords, b_inv):

@@ -123,10 +123,6 @@ class IntForm:
                            for w, (_, nn) in zip(weights, self.simple))
         self.kd = top * cd
 
-    def dual(self, i):
-        """The vector d_i (Fractions), 0-based."""
-        return as_fractions([[self.rd * q for q in self.duals[i]]], self.kd)[0]
-
     def pairing(self, entry, x, d):
         """(num, den) with num / den the pairing of x / d with the coroot of
         the root of ``entry``."""

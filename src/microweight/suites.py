@@ -175,22 +175,20 @@ def verify_e7_suite(fixture_path=None):
 
 
 def _cube_forms_for_scan(max_rank):
-    """The cube normal forms to max_rank; the vector representations
-    (C_m and D_m at w1) always go up to rank 10 at least."""
+    """The cube normal forms to max_rank, built one at a time; the vector
+    representations (C_m and D_m at w1) always go up to rank 10 at least."""
     top = max(10, max_rank)
-    forms = []
     for m in range(2, max_rank + 1):
-        forms.append(minuscule.cube_normal_form("B", m, m))
+        yield minuscule.cube_normal_form("B", m, m)
     for m in range(4, max_rank + 1):
-        forms.append(minuscule.cube_normal_form("D", m, m))
-        forms.append(minuscule.cube_normal_form("D", m, m - 1))
+        yield minuscule.cube_normal_form("D", m, m)
+        yield minuscule.cube_normal_form("D", m, m - 1)
     for m in range(3, max_rank + 1, 2):
-        forms.append(minuscule.cube_normal_form("A", m, (m + 1) // 2))
+        yield minuscule.cube_normal_form("A", m, (m + 1) // 2)
     for m in range(2, top + 1):
-        forms.append(minuscule.cube_normal_form("C", m, 1))
+        yield minuscule.cube_normal_form("C", m, 1)
     for m in range(4, top + 1):
-        forms.append(minuscule.cube_normal_form("D", m, 1))
-    return forms
+        yield minuscule.cube_normal_form("D", m, 1)
 
 
 def collinearity_suite(max_rank=7):

@@ -127,7 +127,7 @@ def test_criterion_05_catalog():
 
 def test_criterion_06_cube_collinearity():
     t0 = time.monotonic()
-    forms = _cube_forms_for_scan(max_rank=7)
+    forms = list(_cube_forms_for_scan(max_rank=7))
     ok = bool(forms)
     for form in forms:
         ok &= len(form.points) <= 128

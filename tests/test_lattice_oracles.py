@@ -8,8 +8,12 @@ in dimensions 0-6 with coordinates past 2**64, where the packing base of
 the direction keys is huge, and sets of more than four points per
 dimension on which the ellipsoid certificate is tried first: affine
 images of sets on one ellipsoid, and the same sets with one point moved
-off it or added inside it.
+off it or added inside it.  The hat-matrix kernel behind the certificate
+and the E7 detection is held against the orthogonal projection onto the
+columns of the centred points, by Fraction Gram-Schmidt.
 """
+
+import random
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -18,6 +22,7 @@ from operator import mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import apply_affine, random_affine_map
 from microweight import affgeom, linalg
 from microweight.affgeom import (Configuration, collinear_triple_count,
                                  midpoint_triples, no_three_collinear)
@@ -218,6 +223,57 @@ def test_ellipsoid_certificate_matches_brute_force(drawn):
     assert affgeom._on_one_ellipsoid(config.int_points) == on_ellipsoid
     expected = sum(is_collinear(*t) for t in combinations(pts, 3))
     assert collinear_triple_count(config) == expected
+
+
+def projection_matrix(pts):
+    """The hat matrix of the centred points of pts, in their order: the
+    orthogonal projection onto the span of the columns of the centred
+    point matrix, from an orthogonal basis of that span."""
+    n = len(pts)
+    cols = [[Fraction(x) - Fraction(sum(col), n) for x in col] for col in zip(*pts)]
+    basis = []
+    for v in cols:
+        for u in basis:
+            f = sum(map(mul, u, v)) / sum(map(mul, u, u))
+            v = [x - f * y for x, y in zip(v, u)]
+        if any(v):
+            basis.append(v)
+    return [[sum(u[i] * u[j] / sum(map(mul, u, u)) for u in basis)
+             for j in range(n)] for i in range(n)]
+
+
+def kernel_hat(pts):
+    """``(coords, {(p, q): P(p, q)})`` from ``affgeom._hat_form`` on the
+    configuration of pts, with P(p, q) = centred(p)^T adj centred(q) / d."""
+    config = Configuration(pts)
+    coords, d, adj, centred = affgeom._hat_form(config.int_points)
+    ys = list(map(centred, config.int_points))
+    ws = [[sum(map(mul, row, y)) for row in adj] for y in ys]
+    return coords, {(p, q): Fraction(sum(map(mul, w, z)), d)
+                    for p, w in zip(config.points, ws)
+                    for q, z in zip(config.points, ys)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets() | wide_collinear_sets(), st.randoms(use_true_random=False))
+# dimension 0, a single point, and hulls of dimension 1 and 2 in dimension 3
+@example([()], random.Random(1))
+@example([(Fraction(3, 2), -7)], random.Random(2))
+@example([(0, 0, 0), (1, 2, 3), (-2, -4, -6), (5, 10, 15)], random.Random(3))
+@example([(0, 0, 1), (1, 0, 1), (0, 1, 1), (3, 5, 1), (-1, 2, 1)], random.Random(4))
+def test_hat_form_matches_fraction_projection(pts, rnd):
+    coords, hat = kernel_hat(pts)
+    base = pts[0]
+    assert len(coords) == fraction_rank([[x - y for x, y in zip(p, base)] for p in pts])
+    want = projection_matrix(pts)
+    assert all(hat[p, q] == want[i][j]
+               for i, p in enumerate(pts) for j, q in enumerate(pts))
+    # no injective affine map changes the hat matrix or the dimension
+    rows, shift = random_affine_map(rnd, len(base))
+    image = {p: apply_affine(rows, shift, p) for p in pts}
+    moved_coords, moved = kernel_hat(list(image.values()))
+    assert len(moved_coords) == len(coords)
+    assert all(moved[image[p], image[q]] == hat[p, q] for p in pts for q in pts)
 
 
 @settings(max_examples=200)
