@@ -30,9 +30,8 @@ from operator import eq, floordiv, mul
 
 from . import linalg
 from .linalg import add, clear_denominators, dot, exact_tuple, mat_vec, neg, scale
-from .rootsystem import (build_root_system, int_points, int_weight,
-                         to_simple_root_coords)
-from .weylorbit import fundamental_weight, orbit, orbit_words
+from .rootsystem import build_root_system, int_points, to_simple_root_coords
+from .weylorbit import fundamental_weight, orbit
 
 
 class DetectionInconclusive(RuntimeError):
@@ -223,9 +222,8 @@ def omega56():
     """The 56-point minuscule E7 weight system, doubled and written in
     simple-root coordinates so that every entry is an integer."""
     system = build_root_system("E7", 7)
-    orb = orbit(system, fundamental_weight(system, 7))
     den, pts = clear_denominators(to_simple_root_coords(system, scale(2, x))
-                                  for x in orb.support)
+                                  for x in _top_orbit()[0])
     assert den == 1
     return frozenset(pts)
 
@@ -236,40 +234,32 @@ def omega56():
 
 @lru_cache(maxsize=1)
 def _top_orbit():
-    """The E7 orbit of omega_7: its words, the orbit as int tuples at one
-    scale ``den``, and the last-coordinate dual as an ``int_weight`` pair.
-    The dual is the vector d of the span with (d, alpha_j) equal to 1 for
-    the last simple root and 0 otherwise, so (d, x) is the last
-    simple-root coordinate of any x in the span; that is omega_7, the
-    orbit's own seed."""
+    """``({w: X}, den)``: the E7 orbit of omega_7, each weight w mapped to
+    the int tuple X = den * w, with one scale ``den`` for the whole orbit."""
     system = build_root_system("E7", 7)
-    top = fundamental_weight(system, 7)
-    words = orbit_words(system, top)
-    points, den = int_points(system, words)
-    # d_7 = 2 omega_7 / (alpha_7, alpha_7), and every E7 root has norm 2
-    return words, points, den, int_weight(system, top)
+    orb = orbit(system, fundamental_weight(system, 7))
+    points, den = int_points(system, orb.support)
+    return dict(zip(orb.support, points)), den
 
 
 def separation_partition(w):
     """``{value: count}``: the level counts of the transported
     top-coordinate functional on the 56-point E7 weight system.
 
-    The functional realizing the 1/27/27/1 partition for the highest
-    weight is the last simple-root coordinate (doubled); for any other
-    orbit element w it is transported along the reflection word reaching
-    w.  Values are reported on the doubled weight coordinates.  A w that
-    is not in the orbit raises ValueError.
+    At omega_7 the functional is the last simple-root coordinate, which is
+    (omega_7, .) as every E7 root has norm 2.  Transported by a Weyl group
+    element g with g(omega_7) = w it is (w, .), since W preserves the inner
+    product; so the levels are the doubled inner products 2 (w, x) over
+    the orbit.  A w that is not in the orbit raises ValueError.
     """
-    words, points, den, (d, d_scale) = _top_orbit()
+    points, den = _top_orbit()
     w = exact_tuple(w)
-    if w not in words:
+    x = points.get(w)
+    if x is None:
         raise ValueError(f"{w} is not an element of the E7 weight system")
-    form = build_root_system("E7", 7).int_form
-    for i in words[w]:
-        d, d_scale = form.reflect(form.simple[i], d, d_scale)
-    # the functional 2d / d_scale takes the value 2 (d.x) / (d_scale * den)
-    counts = Counter(2 * dot(d, x) for x in points)
-    level = d_scale * den
+    # 2 (w, y) = 2 (X.Y) / den^2 for the int tuples X, Y of w and y
+    counts = Counter(2 * dot(x, y) for y in points.values())
+    level = den * den
     return {Fraction(v, level): n for v, n in counts.items()}
 
 

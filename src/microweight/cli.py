@@ -34,13 +34,15 @@ def _load_config(path):
                 if "=" not in ln:
                     raise click.UsageError(
                         f"{path}:{lineno}: expected key=value, got {ln!r}")
-                key, _, value = ln.partition("=")
-                key = key.strip()
+                key, _, value = map(str.strip, ln.partition("="))
                 if key not in CONFIG_KEYS:
                     raise click.UsageError(
                         f"{path}:{lineno}: unknown config key {key!r} "
                         f"(known keys: {', '.join(CONFIG_KEYS)})")
-                cfg[key] = value.strip()
+                if not value:
+                    raise click.UsageError(
+                        f"{path}:{lineno}: config key {key!r} has an empty value")
+                cfg[key] = value
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
     return cfg
@@ -138,7 +140,7 @@ def verify_lemmas(ctx, suite_id, max_rank):
     weight-system configurations."""
     if max_rank < 2:
         raise click.UsageError("--max-rank must be at least 2")
-    if max_rank > ctx.obj["hard_max_rank"]:
+    if suite_id == "2.7" and max_rank > ctx.obj["hard_max_rank"]:
         raise click.UsageError(
             f"--max-rank {max_rank} exceeds the configured ceiling "
             f"{ctx.obj['hard_max_rank']}")

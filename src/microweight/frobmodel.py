@@ -119,7 +119,7 @@ def inverse_closed(points):
 
 def t_eta_count(delta, eta):
     """Number of elements d for which eta - d is again an element."""
-    eta = tuple(eta)
+    eta = _lattice_point(eta)
     if len(eta) != delta.structure.total_dim:
         raise StructureError("eta does not match the lattice dimension")
     return sum(sub(eta, d) in delta.elements for d in delta.elements)
@@ -169,7 +169,7 @@ def recover_lambda_sq(delta):
 
 def weil_involution(delta, x):
     """Identity on the scalar block, negation on both factor blocks."""
-    x = tuple(x)
+    x = _lattice_point(x)
     if len(x) != delta.structure.total_dim:
         raise StructureError("point does not match the lattice dimension")
     return x[:1] + tuple(-v for v in x[1:])

@@ -52,9 +52,9 @@ def as_fractions(points, d):
 
 
 class IntForm:
-    """Integer data of one root system, built from its simple roots.
-
-    ``rd`` is the common denominator of the simple-root coordinates, and
+    """Integer data of one root system, built from its simple roots, given
+    as the int rows ``simple`` over their common denominator ``rd``: that
+    is the common denominator of the simple-root coordinates, and
     with it of every root, since each root is an integer combination of
     the simple roots.  The roots are generated, not listed: every root is
     Weyl-conjugate to a simple root, so closing the simple roots under the
@@ -75,12 +75,13 @@ class IntForm:
     coordinates: rd * Q_i / kd is the vector d_i of the span with
     (d_i, alpha_j) = [i == j], so the i-th coordinate of x = X / D is
     rd * (Q_i.X) / (kd * D), and x lies in the span exactly when
-    sum_i (Q_i.X) R_i = kd * X.  All of them come from one inverse of the
-    Cartan matrix.
+    sum_i (Q_i.X) R_i = kd * X.  All of them come from one int inverse of
+    the Cartan matrix (``linalg.int_inverse``).  Reflections are
+    ``rootsystem.reflect``; the form holds data and ``pairing`` only.
     """
 
-    def __init__(self, simple_roots):
-        self.rd, simple = clear_denominators(simple_roots)
+    def __init__(self, rd, simple):
+        self.rd = rd
         self.simple = tuple((r, dot(r, r)) for r in simple)
         # (alpha_j, alpha_i-check) = 2 (R_i.R_j) / nn_i, a nonpositive
         # integer off the diagonal when the simple roots form a base
@@ -106,17 +107,19 @@ class IntForm:
         positive = sorted(tuple(dot(c, col) for col in zip(*simple))
                           for c in seen if min(c) >= 0)
         ints = positive + [neg(r) for r in positive]
-        self.roots = tuple(as_fractions(ints, self.rd))
+        self.roots = tuple(as_fractions(ints, rd))
         self.positive_roots = self.roots[:len(positive)]
         self.all = tuple((r, dot(r, r)) for r in ints)
         self.positive = self.all[:len(positive)]
         self.root = dict(zip(self.roots, self.all))
-        # omega_i = sum_k inv[k][i] alpha_k = W_i / (cd * rd) with the int
-        # tuples W_i = sum_k (cd * inv[k][i]) R_k
-        cd, inv = clear_denominators(linalg.invert(cartan))
-        weights = [tuple(sum(inv[k][i] * r[j] for k, r in enumerate(simple))
+        # omega_i = sum_k C^-1[k][i] alpha_k = W_i / (cd * rd) with W_i =
+        # sum_k adj[k][i] R_k / g, adj = det * C^-1, g = gcd(det, adj), cd = det / g
+        det, adj = linalg.int_inverse(cartan)
+        g = gcd(det, *sum(adj, ()))
+        cd = det // g
+        weights = [tuple(sum(adj[k][i] * r[j] for k, r in enumerate(simple)) // g
                          for j in range(len(simple[0]))) for i in range(n)]
-        self.fundamental = tuple(as_fractions(weights, cd * self.rd))
+        self.fundamental = tuple(as_fractions(weights, cd * rd))
         # d_i = 2 omega_i / (alpha_i, alpha_i) = 2 * rd * W_i / (nn_i * cd)
         top = lcm(*(nn for _, nn in self.simple))
         self.duals = tuple(tuple(top // nn * 2 * c for c in w)
@@ -129,16 +132,6 @@ class IntForm:
         big, nn = entry
         return 2 * self.rd * dot(x, big), d * nn
 
-    def reflect(self, entry, x, d):
-        """(Y, E) with Y / E the reflection of x / d in the root of ``entry``,
-        where d is a multiple of rd; E = d when the pairing is an integer."""
-        big, _ = entry
-        num, den = self.pairing(entry, x, d)
-        g = gcd(num, den)
-        p, q = num // g, den // g  # the pairing is p / q
-        s = p * (d // self.rd)
-        return tuple(q * a - s * b for a, b in zip(x, big)), d * q
-
 
 class RootSystem:
     """A realized root system, given by its simple roots.
@@ -150,11 +143,11 @@ class RootSystem:
 
     def __init__(self, type_label, simple_roots):
         self.type_label = type_label
-        d, simple = clear_denominators(simple_roots)
+        d, simple = self._int_simple = clear_denominators(simple_roots)
         self.simple_roots = tuple(as_fractions(simple, d))
         self.rank = len(simple)
         self.ambient_dim = len(simple[0])
-        if linalg.rank(self.simple_roots) != self.rank:
+        if len(linalg.independent_rows(simple)) != self.rank:
             raise RootSystemError("simple roots are not linearly independent")
 
     def __repr__(self):
@@ -186,7 +179,7 @@ class RootSystem:
 
     @cached_property
     def int_form(self):
-        return IntForm(self.simple_roots)
+        return IntForm(*self._int_simple)
 
 
 def int_weight(system, x):
@@ -281,9 +274,15 @@ def pairing(system, x, alpha):
 
 def reflect(system, alpha, x):
     """Reflection of x in the hyperplane orthogonal to the root alpha."""
+    form = system.int_form
     entry = _root_entry(system, alpha)
-    y, d = system.int_form.reflect(entry, *int_weight(system, x))
-    return as_fractions([y], d)[0]
+    x, d = int_weight(system, x)
+    num, den = form.pairing(entry, x, d)
+    g = gcd(num, den)
+    p, q = num // g, den // g  # the pairing is p / q
+    # x - (p / q) alpha = (q X - p (D / rd) R) / (D q) for x = X / D
+    s = p * (d // form.rd)
+    return as_fractions([[q * a - s * b for a, b in zip(x, entry[0])]], d * q)[0]
 
 
 def to_simple_root_coords(system, x):

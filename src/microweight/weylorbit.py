@@ -6,12 +6,12 @@ result is deterministic and bit-exact across runs.
 
 Weights go in and come out as tuples of Fractions (ints are accepted on
 input; bools, floats and strings are rejected).  Each step is one call of
-``rootsystem.reflect``, which runs on the system's integer form
-(``rootsystem.IntForm``) and returns Fractions again.
+``rootsystem.reflect``, which runs on ints with the data of the system's
+integer form (``rootsystem.IntForm``) and returns Fractions again.
 """
 
 from .linalg import exact_tuple
-from .rootsystem import NotARootError, exact_weight, int_weight, reflect
+from .rootsystem import NotARootError, as_fractions, exact_weight, int_weight, reflect
 
 ORBIT_CAP = 10 ** 6
 
@@ -53,17 +53,6 @@ class WeightSet:
         return f"WeightSet({self.system!r}, {len(self)} elements)"
 
 
-def _check_in_weight_lattice(system, w):
-    """Raise unless w pairs integrally with every coroot.  The simple
-    coroots suffice: every coroot is an integer combination of them."""
-    form = system.int_form
-    x, d = int_weight(system, w)
-    for entry in form.simple:
-        num, den = form.pairing(entry, x, d)
-        if num % den:
-            raise ValueError(f"{w} is not in the weight lattice of {system}")
-
-
 def orbit(system, w, cap=ORBIT_CAP):
     """The full Weyl orbit of w as a WeightSet."""
     return WeightSet(system, orbit_words(system, w, cap))
@@ -76,8 +65,14 @@ def orbit_words(system, w, cap=ORBIT_CAP):
     S_{alpha_{ik}}(... S_{alpha_{i1}}(w) ...), indices 0-based.  The dict
     is in BFS order.
     """
-    w = exact_weight(system, w)
-    _check_in_weight_lattice(system, w)
+    form = system.int_form
+    x, d = int_weight(system, w)
+    w = as_fractions([x], d)[0]
+    # every coroot is an integer combination of the simple coroots
+    for entry in form.simple:
+        num, den = form.pairing(entry, x, d)
+        if num % den:
+            raise ValueError(f"{w} is not in the weight lattice of {system}")
     words = {w: ()}
     frontier = [w]
     while frontier:

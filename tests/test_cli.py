@@ -223,6 +223,22 @@ def test_config_rank_ceiling_is_bounded(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0
 
 
+def test_rank_ceiling_binds_only_the_27_scan(runner, tmp_path):
+    # 2.8 and 4.6 never read --max-rank, so a low ceiling leaves them alone
+    cfg = tmp_path / "cfg"
+    cfg.write_text("hard_max_rank = 5\n", encoding="utf-8")
+    for suite_id in ("2.8", "4.6"):
+        result = invoke(runner, "--config", str(cfg), "--quiet", "verify-lemmas",
+                        "--suite", suite_id)
+        assert result.exit_code == 0, result.output
+        result = invoke(runner, "--config", str(cfg), "verify-lemmas",
+                        "--suite", suite_id, "--max-rank", "1")
+        assert result.exit_code == 2
+    result = invoke(runner, "--config", str(cfg), "verify-lemmas", "--suite", "2.7")
+    assert result.exit_code == 2
+    assert "--max-rank 7 exceeds the configured ceiling 5" in result.output
+
+
 def test_config_file_errors(runner, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("no equals sign\n", encoding="utf-8")
@@ -230,6 +246,13 @@ def test_config_file_errors(runner, tmp_path):
     assert result.exit_code == 2
     result = invoke(runner, "--config", str(tmp_path / "missing"), "verify-e7")
     assert result.exit_code == 2
+    # an empty value is an error, never a fall back to the packaged fixture
+    for text, lineno, key in (("# fixtures\nfixture_dir =\n", 2, "fixture_dir"),
+                              ("hard_max_rank =   \n", 1, "hard_max_rank")):
+        cfg.write_text(text, encoding="utf-8")
+        result = invoke(runner, "--config", str(cfg), "--quiet", "verify-e7")
+        assert result.exit_code == 2
+        assert f"{cfg}:{lineno}: config key {key!r} has an empty value" in result.output
 
 
 def test_config_rejects_unknown_keys(runner, tmp_path):

@@ -56,6 +56,13 @@ def test_build_delta_rejects_non_integer_entries(entry):
         build_delta([(entry,), (-1,)], PM1)
     with pytest.raises(ValueError, match="not an integer"):
         build_delta(PM1, [(1, entry), (-1, -1)])
+    # a point handed to t_eta_count or weil_involution is checked the same way
+    delta = build_delta(PM1, PM1)
+    for call in (t_eta_count, weil_involution):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(delta, (entry, 0, 0))
+        with pytest.raises(ValueError, match="not an integer"):
+            call(delta, (1, 1, entry))
 
 
 def test_build_delta_accepts_integral_fractions():

@@ -69,8 +69,9 @@ def test_closure_builds_types_without_a_label():
 
 
 def test_simple_roots_must_be_an_independent_base():
-    with pytest.raises(RootSystemError, match="independent"):
-        RootSystem("X", [(1, 0), (2, 0)])
+    for dependent in ([(1, 0), (2, 0)], [(Fraction(1, 2), Fraction(1, 2)), (1, 1)]):
+        with pytest.raises(RootSystemError, match="independent"):
+            RootSystem("X", dependent)
     # an acute pair, then a non-integral Cartan entry
     for simple in ([(1, 0), (1, 1)], [(1, 0), (-1, 2)]):
         with pytest.raises(RootSystemError, match="base"):

@@ -11,6 +11,7 @@ off the span), so denominators 2, 3 and larger occur; non-lattice weights
 are random rational vectors.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -29,6 +30,7 @@ from microweight import (
     orbit,
     orbit_words,
     saturation_progressions,
+    separation_partition,
     to_simple_root_coords,
 )
 from microweight.weylorbit import OrbitTooLargeError, fundamental_weights
@@ -319,3 +321,26 @@ def test_weyl_entry_points_reject_non_exact_coordinates(bad):
                  lambda: apply_chain(system, [(bad, -1, 0)], (1, 0, -1))):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
+
+
+def test_e7_partition_is_the_last_coordinate_transported_along_each_word():
+    """The functional of the 1/27/27/1 partition at omega_7 is the last
+    simple-root coordinate, (d, .) with (d, alpha_j) = [j == 7].  Carried
+    along the reflection word of an orbit element w it is (w, .), and its
+    doubled level counts on the orbit are ``separation_partition(w)``."""
+    system = build_root_system("E7", 7)
+    simple = system.simple_roots
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    d = combine(solve(gram, [int(j == 6) for j in range(7)]), simple, 8)
+    top = oracle_fundamental(system)[6]
+    orbit56 = oracle_words(system, top, 56)
+    words = orbit_words(system, top)
+    assert len(words) == 56 and set(words) == set(orbit56)
+    for w, word in words.items():
+        dw = d
+        for i in word:
+            dw = reflect(simple[i], dw)
+        assert dw == w
+        levels = Counter(2 * dot(dw, x) for x in orbit56)
+        assert sorted(levels.values()) == [1, 1, 27, 27]
+        assert separation_partition(w) == dict(levels)
