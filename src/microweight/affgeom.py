@@ -2,10 +2,10 @@
 
 Covers collinearity scans, the level counts of the separating hyperplane
 partition of the 56-point weight system, and detection of point sets
-affinely isomorphic to that weight system in four stages: size,
+affinely isomorphic to that weight system in three stages: size,
 antipodality and dimension; the row profile of the hat matrix, an affine
-invariant; backtracking on equal hat-matrix entries; and an integer
-verify of the assembled map.
+invariant; and a backtracking matching of antipodal pairs that keeps the
+hat matrix, which fixes the map.
 
 Caller points are checked by ``linalg.exact_tuple`` (an int or a Fraction
 in every coordinate, never a coerced float), and point sets are cleared
@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import tee
 from math import gcd
 from operator import eq, floordiv, mul
 
@@ -34,8 +35,12 @@ from .rootsystem import build_root_system, int_points, to_simple_root_coords
 from .weylorbit import fundamental_weight, orbit
 
 
+# detection matching expansions before it gives up (28-35 on E7 images)
+NODE_CAP = 10 ** 7
+
+
 class DetectionInconclusive(RuntimeError):
-    """Backtracking search hit the node-expansion cap before deciding."""
+    """The detection matching hit ``NODE_CAP`` before deciding."""
 
 
 class Configuration:
@@ -223,7 +228,7 @@ def omega56():
     simple-root coordinates so that every entry is an integer."""
     system = build_root_system("E7", 7)
     den, pts = clear_denominators(to_simple_root_coords(system, scale(2, x))
-                                  for x in _top_orbit()[0])
+                                  for x in top_orbit()[0])
     assert den == 1
     return frozenset(pts)
 
@@ -233,9 +238,9 @@ def omega56():
 
 
 @lru_cache(maxsize=1)
-def _top_orbit():
-    """``({w: X}, den)``: the E7 orbit of omega_7, each weight w mapped to
-    the int tuple X = den * w, with one scale ``den`` for the whole orbit."""
+def top_orbit():
+    """``({w: X}, den)``: the sorted E7 orbit of omega_7, each weight w
+    mapped to the int tuple X = den * w at one scale; verify-e7 reads it."""
     system = build_root_system("E7", 7)
     orb = orbit(system, fundamental_weight(system, 7))
     points, den = int_points(system, orb.support)
@@ -252,7 +257,7 @@ def separation_partition(w):
     product; so the levels are the doubled inner products 2 (w, x) over
     the orbit.  A w that is not in the orbit raises ValueError.
     """
-    points, den = _top_orbit()
+    points, den = top_orbit()
     w = exact_tuple(w)
     x = points.get(w)
     if x is None:
@@ -306,23 +311,31 @@ def _profile_matches(d, half_rows, profile):
     return all(Counter(map(abs, row)) == want for row in half_rows)
 
 
-def detect_e7_config(config, node_cap=10 ** 7):
+def detect_e7_config(config):
     """Search for an exact affine isomorphism carrying the configuration
     onto the canonical 56-point weight system.
 
     Returns an AffineMap on success and None when the configuration is
     provably not of that type.  Raises DetectionInconclusive if the
-    backtracking search exceeds ``node_cap`` candidate expansions.
+    matching expands more than ``NODE_CAP`` candidates.
 
-    Four stages on machine ints: (1) size, antipodal symmetry (an O(n)
+    Three stages on machine ints: (1) size, antipodal symmetry (an O(n)
     check, so it comes first) and affine dimension 7, the number of hull
-    coordinates of the hat-matrix kernel ``_hat_form``; (2) the row profile
-    of its hat matrix P of the centred points (1/8 and -1/8 once, 1/24 and
-    -1/24 27 times each); (3) backtracking that assigns target images to 7
-    independent basis points, keeping a candidate only when P is equal on
-    every assigned pair; (4) a verify that the linear map fixed by the
-    basis images carries every point into the target, since equal P on the
-    basis does not imply that.
+    coordinates of ``_hat_form``; (2) the row profile of its hat matrix P
+    of the centred points Y (1/8 and -1/8 once, 1/24 and -1/24 27 times
+    each); (3) backtracking that gives each half point, in sorted order, a
+    target t (t and its antipode unused) whose row of 24 P agrees on the
+    point and on every one matched so far.  P projects onto the columns of
+    Y, so matched targets Z that keep P have P Z = Z, and W = M^-1 Y^T Z
+    carries Y onto Z: no verify follows.
+
+    A set that passes (2) is positive: P is positive semidefinite of rank
+    7; were P(x, x) = 1/24, the +-3/24 of x's half row would sit at some
+    y != +-x, and Cauchy-Schwarz would give 9 <= 1 * 24 P(y, y) <= 3.  So
+    24 P on the half is the Gram matrix of 28 equiangular lines in R^7
+    (|cos| = 1/3), unique up to isometry (Lemmens and Seidel, "Equiangular
+    lines", J. Algebra 24, 1973).  The search does not rely on this: it is
+    complete on its own.
     """
     target, target_hat, profile = _target()
     if len(config) != len(target):
@@ -334,62 +347,49 @@ def detect_e7_config(config, node_cap=10 ** 7):
         return None
 
     n = len(config)
-    pts = list(map(centred, config.int_points))
-    # negation reverses the sorted order and, with an even number of
-    # points, fixes none: the first half holds one point of each pair
-    half = pts[:n // 2]
-    if not _profile_matches(d, _hat_rows(adj, half, half), profile):
+    # negation reverses the sorted order and fixes no point of an even set:
+    # the first half holds one of each pair, and target t pairs with n - 1 - t
+    half = list(map(centred, config.int_points[:n // 2]))
+    # the profile stops at its first failing row; the matching reads all
+    rows, kept = tee(_hat_rows(adj, half, half))
+    if not _profile_matches(d, rows, profile):
         return None
+    need = list(kept)  # 24 d P on the half
 
-    basis = linalg.independent_rows(half, 7)
-    # 24 P on the basis pairs, None where it is not an integer
-    basis_pts = [half[k] for k in basis]
-    need = [[q if r == 0 else None for q, r in (divmod(v, d) for v in row)]
-            for row in _hat_rows(adj, basis_pts, basis_pts)]
-    # kappa . B = e * y: the basis coordinates of y, times e
-    e, b_inv = linalg.int_inverse(basis_pts)
-    b_inv_cols = list(zip(*b_inv))
-    kappas = [[sum(map(mul, col, y)) for col in b_inv_cols] for y in pts]
-    target_set = {tuple(e * x for x in t) for t in target}
-
-    def maps_onto_target(assigned):
-        image_cols = list(zip(*(target[a] for a in assigned)))
-        return {tuple(sum(map(mul, col, kappa)) for col in image_cols)
-                for kappa in kappas} == target_set
-
+    assigned = []
     nodes = 0
 
-    def search(assigned):
+    def search():
         nonlocal nodes
         k = len(assigned)
-        for t in range(len(target)):
-            # P on (basis k, basis i) for every i <= k, the pair (k, k) too
-            if t in assigned or any(target_hat[t][a] != c
-                                    for c, a in zip(need[k], assigned + [t])):
+        if k == len(half):
+            return True
+        for t, hat in enumerate(target_hat):
+            if t in assigned or n - 1 - t in assigned or any(
+                    d * hat[a] != v for v, a in zip(need[k], assigned + [t])):
                 continue
             nodes += 1
-            if nodes > node_cap:
+            if nodes > NODE_CAP:
                 raise DetectionInconclusive(
-                    f"node cap {node_cap} exceeded during matching")
+                    f"node cap {NODE_CAP} exceeded during matching")
             assigned.append(t)
-            found = search(assigned) if k < 6 else maps_onto_target(assigned)
-            if found:
+            if search():
                 return True
             assigned.pop()
         return False
 
-    assigned = []
-    if not search(assigned):
+    if not search():
         return None
 
-    # on coords, y maps to (y . E) . T / e, with E = e B^-1 and T the
-    # basis images as rows: the matrix is s (E . T) transposed, with
-    # s = n den / e, built once, in Fractions
-    s = Fraction(n * config.den, e)
-    image_cols = list(zip(*(target[a] for a in assigned)))
+    # z = W^T y on coords, with y = n den (p - barycenter): the matrix is
+    # s (adj Y^T Z)^T, s = n den / d, and Y^T Z over all points is twice
+    # that over the half, as -y goes to -z
+    zty = [[2 * sum(map(mul, z, y)) for y in zip(*half)]
+           for z in zip(*(target[t] for t in assigned))]
+    s = Fraction(n * config.den, d)
     matrix = [[Fraction(0)] * config.dim for _ in range(7)]
-    for c, row in zip(coords, b_inv):
-        for r, v in enumerate(mat_vec(image_cols, row)):
+    for c, row in zip(coords, adj):
+        for r, v in enumerate(mat_vec(zty, row)):
             matrix[r][c] = s * v
     matrix = tuple(map(tuple, matrix))
     return AffineMap(matrix, neg(mat_vec(matrix, config.barycenter)))

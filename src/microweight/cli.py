@@ -72,9 +72,10 @@ def main(ctx, as_json, quiet, config_path):
     cfg = _load_config(config_path)
     ctx.obj["json"] = as_json
     ctx.obj["quiet"] = quiet
-    ctx.obj["config"] = cfg
-    ctx.obj["fixture_dir"] = os.environ.get(
-        "MICROWEIGHT_FIXTURE_DIR", cfg.get("fixture_dir"))
+    fixture_dir = os.environ.get("MICROWEIGHT_FIXTURE_DIR", cfg.get("fixture_dir"))
+    if fixture_dir == "":
+        raise click.UsageError("MICROWEIGHT_FIXTURE_DIR is set but empty")
+    ctx.obj["fixture_dir"] = fixture_dir
     try:
         hard_max_rank = int(cfg.get("hard_max_rank", HARD_MAX_RANK_DEFAULT))
     except ValueError:

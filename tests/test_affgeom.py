@@ -16,11 +16,12 @@ from microweight import (
     orbit,
     separation_partition,
 )
+from microweight import affgeom, weylorbit
 from microweight.frobmodel import StructureError, build_delta, fiber_constancy_check
 from microweight.linalg import invert, solve_in_basis, vec
 from microweight.minuscule import cube_normal_form
-from microweight.suites import collinearity_suite
-from microweight.weylorbit import fundamental_weight
+from microweight.suites import collinearity_suite, verify_e7_suite
+from microweight.weylorbit import fundamental_weight, orbit_words
 
 
 def cfg(points):
@@ -206,6 +207,19 @@ def test_separation_partition_rejections():
         separation_partition(fundamental_weight(b2, 2))
 
 
+def test_verify_e7_enumerates_the_orbit_once(monkeypatch):
+    affgeom.top_orbit.cache_clear()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return orbit_words(*args, **kwargs)
+
+    monkeypatch.setattr(weylorbit, "orbit_words", spy)
+    assert verify_e7_suite().passed
+    assert len(calls) == 1
+
+
 def test_detect_on_omega_itself():
     config = Configuration(omega56())
     found = detect_e7_config(config)
@@ -236,9 +250,10 @@ def test_detect_on_affine_image(rng):
     assert {found.apply(p) for p in moved.points} == target
 
 
-def test_detect_node_cap_raises():
+def test_detect_node_cap_raises(monkeypatch):
+    monkeypatch.setattr(affgeom, "NODE_CAP", 0)
     with pytest.raises(DetectionInconclusive):
-        detect_e7_config(Configuration(omega56()), node_cap=0)
+        detect_e7_config(Configuration(omega56()))
 
 
 def test_affine_invariance_of_collinearity(rng):

@@ -12,7 +12,6 @@ from microweight import suites
 from microweight.cli import HARD_MAX_RANK_LIMIT, main
 from microweight.linalg import neg
 from microweight.suites import default_fixture_path
-from microweight.weylorbit import WeightSet
 
 
 @pytest.fixture
@@ -79,8 +78,8 @@ def test_verify_e7_altered_fixture(runner, tmp_path):
 # one fault per verify-e7 check: (check id, module, function, the fault
 # made from the original function)
 VERIFY_E7_FAULTS = [
-    ("01-orbit-size", "weylorbit", "orbit",
-     lambda f: lambda system, w: WeightSet(system, f(system, w).support[1:])),
+    ("01-orbit-size", "affgeom", "top_orbit",
+     lambda f: lambda: (dict(islice(f()[0].items(), 1, None)), f()[1])),
     ("02-halforbit-fixture", "serialize", "weight_rows_from_text",
      lambda f: lambda text, rank: f(text, rank)[1:]),
     ("03-cross-reflection", "rootsystem", "reflect",
@@ -175,6 +174,13 @@ def test_fixture_dir_without_fixture_is_an_error(runner, tmp_path):
     result = invoke(runner, "verify-e7", env={"MICROWEIGHT_FIXTURE_DIR": str(tmp_path)})
     assert result.exit_code == 2
     assert str(missing) in result.output
+
+
+def test_empty_fixture_dir_env_is_an_error(runner):
+    # never a fall back to the packaged fixture, as for an empty config value
+    result = invoke(runner, "--quiet", "verify-e7", env={"MICROWEIGHT_FIXTURE_DIR": ""})
+    assert result.exit_code == 2
+    assert "MICROWEIGHT_FIXTURE_DIR is set but empty" in result.output
 
 
 def test_verify_lemmas_27(runner):

@@ -196,6 +196,27 @@ def test_detection_verdicts():
     expected_verdicts()
 
 
+def test_matching_stays_within_two_nodes_per_pair(monkeypatch):
+    # a matching with no failed branch expands 28 nodes, one per pair
+    monkeypatch.setattr(affgeom, "NODE_CAP", 2 * 28)
+    rnd = random.Random(7039)
+    omega = sorted(omega56())
+    images = []
+    for _ in range(20):
+        rows, shift = random_affine_map(rnd, 7)
+        images.append([apply_affine(rows, shift, p) for p in omega])
+    for extra in (1, 2):
+        rows, shift = random_affine_map(rnd, 7 + extra)
+        images.append([apply_affine(rows, shift, p + (0,) * extra) for p in omega])
+    target = {vec(p) for p in omega}
+    for pts in images:
+        rnd.shuffle(pts)
+        config = Configuration(pts)
+        found = detect_e7_config(config)
+        assert found is not None
+        assert {found.apply(p) for p in config.points} == target
+
+
 def test_same_verdicts_without_the_profile_stage(monkeypatch):
     monkeypatch.setattr(affgeom, "_profile_matches", lambda *args: True)
     expected_verdicts()
