@@ -18,6 +18,11 @@ HARD_MAX_RANK_DEFAULT = 10
 # 7.5-10.6 s at rank 16 and 19 s at rank 17 on a shared 2-core x86-64 host
 # (Python 3.11)
 HARD_MAX_RANK_LIMIT = 16
+# the highest `catalog --rank`; tests, goldens and the benchmark stop at 10.
+# `--json catalog`, one fresh process per run on the same host: 0.21-0.31 s
+# at rank 32 for each of A, B, C and D; 1.7 s at A64; 22 s at A128 (peak RSS
+# 73 MB); 44-46 s at B128 and D128 (peak RSS 124-125 MB)
+CATALOG_MAX_RANK = 32
 CONFIG_KEYS = ("hard_max_rank", "fixture_dir")
 
 
@@ -93,6 +98,8 @@ def main(ctx, as_json, quiet, config_path):
 @click.pass_context
 def catalog(ctx, type_label, rank):
     """List the minuscule fundamental weights for one type and rank."""
+    if rank > CATALOG_MAX_RANK:
+        raise click.UsageError(f"--rank {rank} exceeds the maximum {CATALOG_MAX_RANK}")
     try:
         report, entries = suites.catalog_suite(type_label, rank)
     except RootSystemError as exc:

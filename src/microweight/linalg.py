@@ -49,8 +49,9 @@ def clear_denominators(rows, den=1):
 
 
 def vec(entries):
-    """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(Fraction(e) for e in entries)
+    """The entries as a tuple of Fractions; each must be an int or a
+    Fraction (``exact_tuple``), so a float is rejected, never coerced."""
+    return tuple(map(Fraction, exact_tuple(entries)))
 
 
 def zero_vec(n):

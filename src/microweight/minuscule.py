@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .rootsystem import (RootSystemError, build_root_system, exact_weight, int_points,
-                         int_weight)
+from .rootsystem import RootSystemError, build_root_system, int_points, int_weight
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,8 @@ def is_minuscule(system, w):
     x, d = int_weight(system, w)
     if not any(x):
         raise ValueError("the zero weight is not a candidate minuscule weight")
-    for entry in form.positive:
-        num, den = form.pairing(entry, x, d)
-        if num % den:
-            w = exact_weight(system, w)
-            raise ValueError(f"{w} is not in the weight lattice of {system}")
-        if abs(num) > den:
+    for p in form.lattice_pairings(x, d, form.positive):
+        if abs(p) > 1:
             return False
     return True
 
@@ -170,16 +165,12 @@ def saturation_progressions(omega, system):
     points, d = int_points(system, [*members, *system.roots])
     points, steps = points[:len(members)], points[len(members):]
     present = set(points)
-    roots = list(zip(system.roots, form.all, steps))
+    roots = list(zip(system.roots, steps))
     out = []
     for lam, x in zip(members, points):
-        for alpha, entry, step in roots:
-            num, den = form.pairing(entry, x, d)
-            if not num:
+        for (alpha, step), m in zip(roots, form.lattice_pairings(x, d, form.all)):
+            if not m:
                 continue
-            m, rem = divmod(num, den)
-            if rem:
-                raise ValueError(f"{lam} is not in the weight lattice")
             sign = 1 if m > 0 else -1
             ok = all(tuple(a - sign * k * b for a, b in zip(x, step)) in present
                      for k in range(1, abs(m) + 1))

@@ -3,7 +3,8 @@
 Each system is realized in the standard epsilon-coordinates: A_m in
 dimension m+1, B_m/C_m/D_m in dimension m, E6 and E7 inside dimension 8.
 Only the simple roots are written down; every other root is generated
-from them by the simple reflections (``IntForm``).
+from them by the simple reflections (``IntForm``), by the same breadth-first
+``closure`` that enumerates the Weyl orbits of ``weylorbit``.
 
 Publicly, roots and weights are tuples of Fractions in ambient
 coordinates.  Inputs may hold ints or Fractions; bools, floats and strings
@@ -14,11 +15,13 @@ and every root alpha is kept once as the int tuple rd * alpha (see
 ``IntForm``).  Every such scaling, and the rejection of inexact input, is
 ``linalg.clear_denominators``.  Results become Fractions only where they
 are returned; conversions to and from simple-root coordinates are exact.
+``IntForm.lattice_pairings`` is the one weight-lattice test.
 """
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .linalg import clear_denominators, dot, exact_tuple, neg, zero_vec
@@ -36,6 +39,29 @@ class NotARootError(ValueError):
 
 class SpanError(ValueError):
     """A vector lies outside the rational span of the simple roots."""
+
+
+class OrbitTooLargeError(RuntimeError):
+    """A closure exceeded its element cap."""
+
+
+def closure(seeds, step, n, cap=None):
+    """``{x: word}`` for every x reached from ``seeds`` by ``step(x, i)``,
+    i in range(n), in breadth-first order: each seed has the word (), and
+    the word (i1, ..., ik) means x = step(...step(seed, i1)..., ik).
+    OrbitTooLargeError once more than ``cap`` elements are reached."""
+    words = dict.fromkeys(seeds, ())
+    queue = list(words)
+    for x in queue:  # the queue grows while it is read
+        word = words[x]
+        for i in range(n):
+            y = step(x, i)
+            if y not in words:
+                words[y] = word + (i,)
+                queue.append(y)
+                if cap is not None and len(words) > cap:
+                    raise OrbitTooLargeError(f"orbit exceeds {cap} elements")
+    return words
 
 
 @lru_cache(maxsize=4096)
@@ -58,8 +84,8 @@ class IntForm:
     with it of every root, since each root is an integer combination of
     the simple roots.  The roots are generated, not listed: every root is
     Weyl-conjugate to a simple root, so closing the simple roots under the
-    simple reflections yields them all.  The closure runs on int tuples of
-    simple-root coordinates, where the reflection in alpha_i is
+    simple reflections yields them all.  The ``closure`` runs on int tuples
+    of simple-root coordinates, where the reflection in alpha_i is
     s_i(c) = c - (sum_j C_ij c_j) e_i with C the Cartan matrix; the
     positive roots are the elements with every coordinate >= 0.
 
@@ -68,7 +94,8 @@ class IntForm:
     to ``(R, nn)``: R = rd * alpha as a tuple of ints and nn = R.R.
     ``simple``, ``positive`` and ``all`` hold the same pairs in the order
     of the simple roots, ``positive_roots`` and ``roots``.  For a weight
-    x = X / D the pairing (x, alpha-check) is 2 * rd * (X.R) / (D * nn).
+    x = X / D the pairing (x, alpha-check) is 2 * rd * (X.R) / (D * nn):
+    ``pairing`` gives it as a fraction, ``lattice_pairings`` as ints.
 
     ``cartan`` and ``fundamental`` are the public Cartan matrix and
     fundamental weights (Fractions).  ``duals`` and ``kd`` give simple-root
@@ -77,7 +104,7 @@ class IntForm:
     rd * (Q_i.X) / (kd * D), and x lies in the span exactly when
     sum_i (Q_i.X) R_i = kd * X.  All of them come from one int inverse of
     the Cartan matrix (``linalg.int_inverse``).  Reflections are
-    ``rootsystem.reflect``; the form holds data and ``pairing`` only.
+    ``rootsystem.reflect``; the form holds data and the pairings only.
     """
 
     def __init__(self, rd, simple):
@@ -94,18 +121,10 @@ class IntForm:
         cartan = [[q for q, _ in row] for row in cartan]
         self.cartan = tuple(as_fractions(cartan, 1))
         n = len(simple)
-        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        todo = list(seen)
-        while todo:
-            c = todo.pop()
-            for i, row in enumerate(cartan):
-                p = dot(row, c)
-                image = c[:i] + (c[i] - p,) + c[i + 1:]
-                if image not in seen:
-                    seen.add(image)
-                    todo.append(image)
+        coords = closure([tuple(int(i == j) for j in range(n)) for i in range(n)],
+                         lambda c, i: c[:i] + (c[i] - dot(cartan[i], c),) + c[i + 1:], n)
         positive = sorted(tuple(dot(c, col) for col in zip(*simple))
-                          for c in seen if min(c) >= 0)
+                          for c in coords if min(c) >= 0)
         ints = positive + [neg(r) for r in positive]
         self.roots = tuple(as_fractions(ints, rd))
         self.positive_roots = self.roots[:len(positive)]
@@ -131,6 +150,17 @@ class IntForm:
         the root of ``entry``."""
         big, nn = entry
         return 2 * self.rd * dot(x, big), d * nn
+
+    def lattice_pairings(self, x, d, entries):
+        """The pairings of x / d with the coroots of the roots of
+        ``entries``, in order, as ints.  ValueError at the first that is not
+        an integer: x / d is then not in the weight lattice."""
+        rd2 = 2 * self.rd
+        for big, nn in entries:
+            num, den = rd2 * sum(map(mul, x, big)), d * nn
+            if num % den:
+                raise ValueError(f"{as_fractions([x], d)[0]} is not in the weight lattice")
+            yield num // den
 
 
 class RootSystem:
@@ -171,9 +201,6 @@ class RootSystem:
     def positive_roots(self):
         return self.int_form.positive_roots
 
-    def is_root(self, v):
-        return tuple(v) in self.int_form.root
-
     def zero(self):
         return zero_vec(self.ambient_dim)
 
@@ -189,12 +216,6 @@ def int_weight(system, x):
     if len(big) != system.ambient_dim:
         raise ValueError("weight dimension does not match the system")
     return big, d
-
-
-def exact_weight(system, x):
-    """x as a tuple of Fractions of the ambient dimension."""
-    big, d = int_weight(system, x)
-    return as_fractions([big], d)[0]
 
 
 def int_points(system, weights):
@@ -253,16 +274,17 @@ def _simple_roots(type_label, m):
     return simple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(type_label, rank):
     """Construct the root system of the given type and rank.
 
-    Raises RootSystemError when the rank is out of range for the type.
+    Raises RootSystemError when the rank is not an int in the range of the
+    type; the cache is typed, so 2.0 never finds the system cached for 2.
     """
     if type_label not in TYPE_LABELS:
         raise RootSystemError(f"unknown type label {type_label!r}")
-    if not _VALID_RANKS[type_label](rank):
-        raise RootSystemError(f"rank {rank} is out of range for type {type_label}")
+    if type(rank) is not int or not _VALID_RANKS[type_label](rank):
+        raise RootSystemError(f"rank {rank!r} is out of range for type {type_label}")
     return RootSystem(type_label, _simple_roots(type_label, rank))
 
 
@@ -294,8 +316,7 @@ def to_simple_root_coords(system, x):
     form = system.int_form
     big, d = int_weight(system, x)
     coeffs = [dot(q, big) for q in form.duals]
-    back = [sum(c * r[j] for c, (r, _) in zip(coeffs, form.simple))
-            for j in range(system.ambient_dim)]
+    back = [dot(coeffs, col) for col in zip(*(r for r, _ in form.simple))]
     if back != [form.kd * c for c in big]:
         raise SpanError(f"{x} is not in the span of the simple roots of {system}")
     return as_fractions([[form.rd * c for c in coeffs]], form.kd * d)[0]
@@ -306,8 +327,7 @@ def from_simple_root_coords(system, coeffs):
     if len(coeffs) != system.rank:
         raise ValueError("coefficient vector length does not match the rank")
     form = system.int_form
-    x = [sum(c * r[j] for c, (r, _) in zip(coeffs, form.simple))
-         for j in range(system.ambient_dim)]
+    x = [dot(coeffs, col) for col in zip(*(r for r, _ in form.simple))]
     return as_fractions([x], d * form.rd)[0]
 
 
@@ -317,12 +337,8 @@ def reflection_matrix_table(system):
     Entry (i, j) (0-based) is the reflection of the j-th simple root in
     the i-th simple root.
     """
-    n = system.rank
-    return tuple(
-        tuple(reflect(system, system.simple_roots[i], system.simple_roots[j])
-              for j in range(n))
-        for i in range(n)
-    )
+    simple = system.simple_roots
+    return tuple(tuple(reflect(system, a, b) for b in simple) for a in simple)
 
 
 def cartan_matrix(system):

@@ -1,23 +1,20 @@
 """Weyl group orbits of weights and explicit reflection chains.
 
-Orbits are enumerated by breadth-first closure under the simple
-reflections with exact deduplication on coordinate tuples, so the
-result is deterministic and bit-exact across runs.
+Orbits are enumerated by ``rootsystem.closure``, the breadth-first closure
+under the simple reflections that also generates the roots, with exact
+deduplication on coordinate tuples, so the result is deterministic and
+bit-exact across runs.
 
 Weights go in and come out as tuples of Fractions (ints are accepted on
-input; bools, floats and strings are rejected).  Each step is one call of
-``rootsystem.reflect``, which runs on ints with the data of the system's
-integer form (``rootsystem.IntForm``) and returns Fractions again.
+input; bools, floats and strings are rejected).  A weight crosses to ints
+once, for its lattice check (``IntForm.lattice_pairings``); each closure
+step is then one ``rootsystem.reflect`` call on Fractions.
 """
 
-from .linalg import exact_tuple
-from .rootsystem import NotARootError, as_fractions, exact_weight, int_weight, reflect
+# OrbitTooLargeError is re-exported here: orbit enumeration raises it
+from .rootsystem import OrbitTooLargeError, as_fractions, closure, int_weight, reflect
 
 ORBIT_CAP = 10 ** 6
-
-
-class OrbitTooLargeError(RuntimeError):
-    """Orbit enumeration exceeded the configured element cap."""
 
 
 class WeightSet:
@@ -67,26 +64,12 @@ def orbit_words(system, w, cap=ORBIT_CAP):
     """
     form = system.int_form
     x, d = int_weight(system, w)
-    w = as_fractions([x], d)[0]
-    # every coroot is an integer combination of the simple coroots
-    for entry in form.simple:
-        num, den = form.pairing(entry, x, d)
-        if num % den:
-            raise ValueError(f"{w} is not in the weight lattice of {system}")
-    words = {w: ()}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, alpha in enumerate(system.simple_roots):
-                y = reflect(system, alpha, x)
-                if y not in words:
-                    words[y] = words[x] + (i,)
-                    nxt.append(y)
-                    if len(words) > cap:
-                        raise OrbitTooLargeError(f"orbit exceeds {cap} elements")
-        frontier = nxt
-    return words
+    # ValueError off the weight lattice; the simple coroots suffice, since
+    # every coroot is an integer combination of them
+    list(form.lattice_pairings(x, d, form.simple))
+    simple = system.simple_roots
+    return closure(as_fractions([x], d), lambda y, i: reflect(system, simple[i], y),
+                   system.rank, cap)
 
 
 def apply_chain(system, chain, start):
@@ -94,10 +77,9 @@ def apply_chain(system, chain, start):
 
     The result has length len(chain) + 1 and begins with ``start``.
     """
-    out = [exact_weight(system, start)]
+    big, d = int_weight(system, start)
+    out = as_fractions([big], d)
     for alpha in chain:
-        if not system.is_root(exact_tuple(alpha)):
-            raise NotARootError(f"chain step {alpha} is not a root of {system}")
         out.append(reflect(system, alpha, out[-1]))
     return out
 
@@ -108,8 +90,8 @@ def fundamental_weight(system, i):
     Realized inside the span of the simple roots, so for type A this is
     the traceless Bourbaki representative.
     """
-    if not 1 <= i <= system.rank:
-        raise IndexError(f"fundamental weight index {i} out of range for {system}")
+    if type(i) is not int or not 1 <= i <= system.rank:
+        raise IndexError(f"fundamental weight index {i!r} out of range for {system}")
     return system.int_form.fundamental[i - 1]
 
 

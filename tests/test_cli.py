@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from microweight import suites
-from microweight.cli import HARD_MAX_RANK_LIMIT, main
+from microweight.cli import CATALOG_MAX_RANK, HARD_MAX_RANK_LIMIT, main
 from microweight.linalg import neg
 from microweight.suites import default_fixture_path
 
@@ -53,6 +53,24 @@ def test_catalog_usage_errors(runner):
     assert result.exit_code == 2
     result = invoke(runner, "catalog", "--type", "Z", "--rank", "3")
     assert result.exit_code == 2
+
+
+def test_catalog_rank_is_bounded(runner, monkeypatch):
+    def no_catalog(type_label, rank):
+        raise AssertionError(f"catalog built for {type_label}{rank}")
+
+    monkeypatch.setattr(suites, "catalog_suite", no_catalog)
+    for type_label in ("A", "B", "C", "D"):
+        result = invoke(runner, "--json", "catalog", "--type", type_label,
+                        "--rank", str(CATALOG_MAX_RANK + 1))
+        assert result.exit_code == 2
+        assert (f"--rank {CATALOG_MAX_RANK + 1} exceeds the maximum {CATALOG_MAX_RANK}"
+                in result.output)
+    monkeypatch.undo()
+    result = invoke(runner, "--json", "catalog", "--type", "C", "--rank",
+                    str(CATALOG_MAX_RANK))
+    assert result.exit_code == 0
+    assert json.loads(result.output)[0]["dims"] == [2 * CATALOG_MAX_RANK]
 
 
 def test_verify_e7_default_fixture(runner):

@@ -149,6 +149,13 @@ def test_clear_denominators_rejects_inexact_entries(entry):
         linalg.clear_denominators([(1, Fraction(1, 2)), (0, entry)])
 
 
+@pytest.mark.parametrize("entry", [True, 0.5, 1e-20, "1"])
+def test_vec_rejects_inexact_entries(entry):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        linalg.vec([Fraction(1, 2), entry])
+    assert linalg.vec([Fraction(1, 2), 3]) == (Fraction(1, 2), Fraction(3))
+
+
 def test_solve_in_basis_rejects_a_dependent_basis_and_unequal_lengths():
     basis = [(1, 0, 1), (Fraction(1, 2), 0, Fraction(1, 2))]
     with pytest.raises(ValueError, match="dependent"):

@@ -20,7 +20,7 @@ from microweight import (
 )
 from microweight import linalg
 from microweight.linalg import dot, vec
-from microweight.weylorbit import fundamental_weights
+from microweight.weylorbit import fundamental_weight, fundamental_weights
 
 HALF = Fraction(1, 2)
 
@@ -115,7 +115,7 @@ def test_reflect_permutes_roots():
         system = build_root_system(label, rank)
         for alpha in system.simple_roots:
             for beta in system.roots:
-                assert system.is_root(reflect(system, alpha, beta))
+                assert reflect(system, alpha, beta) in system.roots
 
 
 def test_reflect_is_an_involution_on_random_weights():
@@ -191,6 +191,22 @@ def test_system_identity_and_cache():
     assert build_root_system("B", 3) is build_root_system("B", 3)
     assert build_root_system("B", 3) == build_root_system("B", 3)
     assert build_root_system("B", 3) != build_root_system("C", 3)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
+def test_a_rank_or_index_that_is_not_an_int_is_rejected(warm):
+    # the cache is typed: 2.0 and True never find the system cached for 2 or 1
+    build_root_system.cache_clear()
+    if warm:
+        build_root_system("A", 1)
+        build_root_system("A", 2)
+    for rank in (2.0, True, Fraction(2)):
+        with pytest.raises(RootSystemError, match="out of range"):
+            build_root_system("A", rank)
+    a2 = build_root_system("A", 2)
+    for index in (1.0, True):
+        with pytest.raises(IndexError, match="out of range"):
+            fundamental_weight(a2, index)
 
 
 def test_equality_compares_the_simple_roots():

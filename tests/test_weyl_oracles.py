@@ -286,6 +286,14 @@ def test_apply_chain_matches_the_oracle(data):
 
 
 @pytest.mark.parametrize("type_label, rank", SYSTEMS)
+def test_roots_are_the_orbits_of_the_simple_roots(type_label, rank):
+    # the closure of the unit vectors in IntForm against the orbit closure
+    system = build_root_system(type_label, rank)
+    orbits = set().union(*(orbit(system, alpha) for alpha in system.simple_roots))
+    assert set(system.roots) == orbits
+
+
+@pytest.mark.parametrize("type_label, rank", SYSTEMS)
 def test_cartan_matrix_and_fundamental_weights_match_the_oracle(type_label, rank):
     system = build_root_system(type_label, rank)
     assert cartan_matrix(system) == oracle_cartan(system)

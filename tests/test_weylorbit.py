@@ -8,8 +8,10 @@ from microweight import (
     apply_chain,
     build_root_system,
     from_simple_root_coords,
+    is_minuscule,
     orbit,
     orbit_words,
+    saturation_progressions,
     to_simple_root_coords,
 )
 from microweight.linalg import dot, mat_vec, vec
@@ -148,6 +150,18 @@ def test_orbit_rejects_non_lattice_weights():
     system = build_root_system("A", 2)
     with pytest.raises(ValueError):
         orbit(system, vec([Fraction(1, 3), 0, 0]))
+
+
+def test_one_weight_lattice_check_behind_orbits_minuscule_and_saturation():
+    system = build_root_system("A", 2)
+    w = vec([Fraction(1, 3), 0, 0])
+    messages = set()
+    for call in (lambda: orbit_words(system, w), lambda: is_minuscule(system, w),
+                 lambda: saturation_progressions([w], system)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {f"{w} is not in the weight lattice"}
 
 
 def test_fundamental_weights_tuple():
