@@ -1,22 +1,22 @@
-"""Command-line entry point for the verification suites.
+"""Exact verification suites for minuscule weight systems and
+eigenvalue-lattice models.
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 on
 usage or input errors.
 """
 
+import argparse
+import json
 import os
 import sys
-
-import click
 
 from . import serialize, suites
 from .rootsystem import TYPE_LABELS, RootSystemError
 
 HARD_MAX_RANK_DEFAULT = 10
-# the highest ceiling a config file may set: at rank m the 2.7 scan builds
-# 2^m sign vectors per form; `--json verify-lemmas --suite 2.7` took
-# 7.5-10.6 s at rank 16 and 19 s at rank 17 on a shared 2-core x86-64 host
-# (Python 3.11)
+# the highest ceiling a config file may set: at rank m the 2.7 scan builds 2^m
+# sign vectors per form; `--json verify-lemmas --suite 2.7` took 7.5-10.6 s at
+# rank 16 and 19 s at rank 17 on a shared 2-core x86-64 host (Python 3.11)
 HARD_MAX_RANK_LIMIT = 16
 # the highest `catalog --rank`; tests, goldens and the benchmark stop at 10.
 # `--json catalog`, one fresh process per run on the same host: 0.21-0.31 s
@@ -26,10 +26,12 @@ CATALOG_MAX_RANK = 32
 CONFIG_KEYS = ("hard_max_rank", "fixture_dir")
 
 
+class UsageError(Exception):
+    """A usage or input error; `main` reports it through the parser, exit 2."""
+
+
 def _load_config(path):
     cfg = {}
-    if path is None:
-        return cfg
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -37,143 +39,141 @@ def _load_config(path):
                 if not ln or ln.startswith("#"):
                     continue
                 if "=" not in ln:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: expected key=value, got {ln!r}")
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {ln!r}")
                 key, _, value = map(str.strip, ln.partition("="))
                 if key not in CONFIG_KEYS:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: unknown config key {key!r} "
-                        f"(known keys: {', '.join(CONFIG_KEYS)})")
+                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r} "
+                                     f"(known keys: {', '.join(CONFIG_KEYS)})")
                 if not value:
-                    raise click.UsageError(
+                    raise UsageError(
                         f"{path}:{lineno}: config key {key!r} has an empty value")
                 cfg[key] = value
     except OSError as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
+        raise UsageError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file: {path} is not UTF-8 ({exc})")
     return cfg
 
 
-def _emit(ctx, report):
-    as_json = ctx.obj["json"]
-    quiet = ctx.obj["quiet"]
-    if as_json:
-        click.echo(report.to_json(), nl=False)
-    else:
-        click.echo(report.to_text(quiet=quiet), nl=False)
-    if not report.passed:
-        sys.exit(1)
-
-
-@click.group()
-@click.option("--json", "as_json", is_flag=True, help="Emit the stable JSON report.")
-@click.option("--quiet", is_flag=True, help="Suppress per-check timing and headers.")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Optional key=value config file (rank ceilings, fixture dir).")
-@click.pass_context
-def main(ctx, as_json, quiet, config_path):
-    """Exact verification suites for minuscule weight systems and
-    eigenvalue-lattice models."""
-    ctx.ensure_object(dict)
-    cfg = _load_config(config_path)
-    ctx.obj["json"] = as_json
-    ctx.obj["quiet"] = quiet
-    fixture_dir = os.environ.get("MICROWEIGHT_FIXTURE_DIR", cfg.get("fixture_dir"))
-    if fixture_dir == "":
-        raise click.UsageError("MICROWEIGHT_FIXTURE_DIR is set but empty")
-    ctx.obj["fixture_dir"] = fixture_dir
+def _configure(args):
+    """Put the settings of the config file and the environment on ``args``."""
+    cfg = {} if args.config is None else _load_config(args.config)
+    args.fixture_dir = os.environ.get("MICROWEIGHT_FIXTURE_DIR", cfg.get("fixture_dir"))
+    if args.fixture_dir == "":
+        raise UsageError("MICROWEIGHT_FIXTURE_DIR is set but empty")
     try:
-        hard_max_rank = int(cfg.get("hard_max_rank", HARD_MAX_RANK_DEFAULT))
+        args.hard_max_rank = int(cfg.get("hard_max_rank", HARD_MAX_RANK_DEFAULT))
     except ValueError:
-        raise click.UsageError("hard_max_rank must be an integer")
-    if hard_max_rank > HARD_MAX_RANK_LIMIT:
-        raise click.UsageError(f"hard_max_rank {hard_max_rank} exceeds the "
-                               f"maximum {HARD_MAX_RANK_LIMIT}")
-    ctx.obj["hard_max_rank"] = hard_max_rank
+        raise UsageError("hard_max_rank must be an integer")
+    if args.hard_max_rank > HARD_MAX_RANK_LIMIT:
+        raise UsageError(f"hard_max_rank {args.hard_max_rank} exceeds the "
+                         f"maximum {HARD_MAX_RANK_LIMIT}")
 
 
-@main.command()
-@click.option("--type", "type_label", required=True,
-              type=click.Choice(TYPE_LABELS))
-@click.option("--rank", required=True, type=int)
-@click.pass_context
-def catalog(ctx, type_label, rank):
+def _emit(args, report):
+    print(report.to_json() if args.json else report.to_text(quiet=args.quiet), end="")
+    return report
+
+
+def catalog(args):
     """List the minuscule fundamental weights for one type and rank."""
-    if rank > CATALOG_MAX_RANK:
-        raise click.UsageError(f"--rank {rank} exceeds the maximum {CATALOG_MAX_RANK}")
+    if args.rank > CATALOG_MAX_RANK:
+        raise UsageError(f"--rank {args.rank} exceeds the maximum {CATALOG_MAX_RANK}")
     try:
-        report, entries = suites.catalog_suite(type_label, rank)
+        report, entries = suites.catalog_suite(args.type, args.rank)
     except RootSystemError as exc:
-        raise click.UsageError(str(exc))
-    if ctx.obj["json"]:
-        import json as _json
-        click.echo(_json.dumps(serialize.catalog_to_json(entries),
-                               indent=2, sort_keys=True))
-        if not report.passed:
-            sys.exit(1)
-        return
+        raise UsageError(str(exc))
+    if args.json:
+        print(json.dumps(serialize.catalog_to_json(entries), indent=2, sort_keys=True))
+        return report
     for e in entries:
         label = e.type_label if e.type_label.startswith("E") else f"{e.type_label}{e.rank}"
-        click.echo(f"{label}  w{e.weight_index}  dim {e.dimension}  {e.self_dual_form}")
-    if not ctx.obj["quiet"]:
-        click.echo(report.to_text(quiet=True), nl=False)
-    if not report.passed:
-        sys.exit(1)
+        print(f"{label}  w{e.weight_index}  dim {e.dimension}  {e.self_dual_form}")
+    if not args.quiet:
+        print(report.to_text(quiet=True), end="")
+    return report
 
 
-@main.command("verify-e7")
-@click.option("--fixture", "fixture_path", type=click.Path(), default=None)
-@click.pass_context
-def verify_e7(ctx, fixture_path):
+def verify_e7(args):
     """Run the 56-point weight-system suite: orbit size, fixture match,
     reflection table, separating partition."""
-    if fixture_path is None and ctx.obj["fixture_dir"]:
-        fixture_path = os.path.join(ctx.obj["fixture_dir"], "omega_e7.txt")
-        if not os.path.exists(fixture_path):
-            raise click.UsageError(f"fixture error: {fixture_path} does not exist")
+    if args.fixture is None and args.fixture_dir:
+        args.fixture = os.path.join(args.fixture_dir, "omega_e7.txt")
+        if not os.path.exists(args.fixture):
+            raise UsageError(f"fixture error: {args.fixture} does not exist")
     try:
-        report = suites.verify_e7_suite(fixture_path)
+        report = suites.verify_e7_suite(args.fixture)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"fixture error: {exc}")
-    _emit(ctx, report)
+        raise UsageError(f"fixture error: {exc}")
+    return _emit(args, report)
 
 
-@main.command("verify-lemmas")
-@click.option("--suite", "suite_id", required=True,
-              type=click.Choice(["2.7", "2.8", "4.6"]))
-@click.option("--max-rank", type=int, default=7, show_default=True)
-@click.pass_context
-def verify_lemmas(ctx, suite_id, max_rank):
+def verify_lemmas(args):
     """Run one of the geometry suites: 2.7 = cube-vertex collinearity,
     2.8 = line-triple fiber constancy, 4.6 = fiber projection of detected
     weight-system configurations."""
-    if max_rank < 2:
-        raise click.UsageError("--max-rank must be at least 2")
-    if suite_id == "2.7" and max_rank > ctx.obj["hard_max_rank"]:
-        raise click.UsageError(
-            f"--max-rank {max_rank} exceeds the configured ceiling "
-            f"{ctx.obj['hard_max_rank']}")
-    if suite_id == "2.7":
-        report = suites.collinearity_suite(max_rank)
-    elif suite_id == "2.8":
-        report = suites.fiber_constancy_suite()
-    else:
-        report = suites.e7_projection_suite()
-    _emit(ctx, report)
+    if args.max_rank < 2:
+        raise UsageError("--max-rank must be at least 2")
+    if args.suite == "2.7":
+        if args.max_rank > args.hard_max_rank:
+            raise UsageError(f"--max-rank {args.max_rank} exceeds the configured "
+                             f"ceiling {args.hard_max_rank}")
+        return _emit(args, suites.collinearity_suite(args.max_rank))
+    if args.suite == "2.8":
+        return _emit(args, suites.fiber_constancy_suite())
+    return _emit(args, suites.e7_projection_suite())
 
 
-@main.command("frobmodel")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--op", required=True,
-              type=click.Choice(["lambda-sq", "level-sets", "line-set", "b-set"]))
-@click.pass_context
-def frobmodel_cmd(ctx, input_path, op):
+def frobmodel(args):
     """Run one eigenvalue-lattice operation on an eigenset JSON file."""
     try:
-        delta = serialize.eigenset_from_path(input_path)
+        delta = serialize.eigenset_from_path(args.input)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"input error: {exc}")
-    _emit(ctx, suites.frobmodel_suite(delta, op))
+        raise UsageError(f"input error: {exc}")
+    return _emit(args, suites.frobmodel_suite(delta, args.op))
+
+
+def _parser():
+    parser = argparse.ArgumentParser(prog="microweight", description=__doc__,
+                                     allow_abbrev=False)
+    parser.add_argument("--json", action="store_true", help="Emit the stable JSON report.")
+    parser.add_argument("--quiet", action="store_true",
+                        help="Suppress per-check timing and headers.")
+    parser.add_argument("--config",
+                        help="Optional key=value config file (rank ceilings, fixture dir).")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, run):
+        sub = commands.add_parser(name, allow_abbrev=False, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command("catalog", catalog)
+    sub.add_argument("--type", required=True, choices=TYPE_LABELS)
+    sub.add_argument("--rank", required=True, type=int)
+    command("verify-e7", verify_e7).add_argument("--fixture")
+    sub = command("verify-lemmas", verify_lemmas)
+    sub.add_argument("--suite", required=True, choices=["2.7", "2.8", "4.6"])
+    sub.add_argument("--max-rank", type=int, default=7, help="(default: %(default)s)")
+    sub = command("frobmodel", frobmodel)
+    sub.add_argument("--input", required=True)
+    sub.add_argument("--op", required=True,
+                     choices=["lambda-sq", "level-sets", "line-set", "b-set"])
+    return parser
+
+
+def main(argv=None):
+    """Run one command line; return 0 if every check passes, else 1."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        _configure(args)
+        report = args.run(args)
+    except UsageError as exc:
+        parser.error(str(exc))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

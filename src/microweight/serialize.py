@@ -80,6 +80,8 @@ def eigenset_from_path(path):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
     return eigenset_from_json(obj)
 
 

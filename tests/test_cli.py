@@ -1,26 +1,46 @@
 import importlib
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
+import microweight
 from microweight import suites
 from microweight.cli import CATALOG_MAX_RANK, HARD_MAX_RANK_LIMIT, main
 from microweight.linalg import neg
 from microweight.suites import default_fixture_path
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout, then stderr
+
+
 @pytest.fixture
-def runner():
-    return CliRunner()
+def runner(capsys):
+    return capsys
 
 
 def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+    """Run ``main`` on ``args`` with ``env`` added to the environment;
+    ``runner`` is the ``capsys`` fixture."""
+    with pytest.MonkeyPatch.context() as mp:
+        for key, value in (env or {}).items():
+            mp.setenv(key, value)
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    out, err = runner.readouterr()
+    return Result(code, out + err)
 
 
 def test_catalog_text(runner):
@@ -79,7 +99,8 @@ def test_verify_e7_default_fixture(runner):
     assert "5 passed, 0 failed" in result.output
 
 
-def test_verify_e7_altered_fixture(runner, tmp_path):
+def altered_fixture(tmp_path):
+    """The packaged E7 fixture with its first weight replaced."""
     text = default_fixture_path().read_text(encoding="utf-8")
     lines = text.splitlines()
     idx = next(i for i, ln in enumerate(lines)
@@ -87,6 +108,11 @@ def test_verify_e7_altered_fixture(runner, tmp_path):
     lines[idx] = "9 9 9 9 9 9 9"
     bad = tmp_path / "omega_e7.txt"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad
+
+
+def test_verify_e7_altered_fixture(runner, tmp_path):
+    bad = altered_fixture(tmp_path)
     result = invoke(runner, "verify-e7", "--fixture", str(bad))
     assert result.exit_code == 1
     assert "02-halforbit-fixture" in result.output
@@ -277,6 +303,10 @@ def test_config_file_errors(runner, tmp_path):
         result = invoke(runner, "--config", str(cfg), "--quiet", "verify-e7")
         assert result.exit_code == 2
         assert f"{cfg}:{lineno}: config key {key!r} has an empty value" in result.output
+    cfg.write_bytes(b"\xff\xfe\x00bad\n")
+    result = invoke(runner, "--config", str(cfg), "verify-e7")
+    assert result.exit_code == 2
+    assert f"cannot read config file: {cfg} is not UTF-8" in result.output
 
 
 def test_config_rejects_unknown_keys(runner, tmp_path):
@@ -412,6 +442,14 @@ def test_frobmodel_input_errors(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_frobmodel_rejects_deeply_nested_json(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"delta1": ' + "[" * 100_000, encoding="utf-8")
+    result = invoke(runner, "frobmodel", "--input", str(deep), "--op", "b-set")
+    assert result.exit_code == 2
+    assert f"input error: {deep}: JSON nested too deeply" in result.output
+
+
 @pytest.mark.parametrize("entry", [1.5, True])
 def test_frobmodel_rejects_non_integer_entries(runner, tmp_path, entry):
     path = tmp_path / "coerced.json"
@@ -507,3 +545,55 @@ def test_e7_projection_fails_on_a_lost_difference(runner, monkeypatch):
     assert checks["02-difference-sets"]["status"] == "fail"
     assert checks["02-difference-sets"]["witness"] == {
         "fiber": [-1, -1], "size": 938, "expected": 939}
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("--json",),
+    ("catalogue", "--type", "A", "--rank", "2"),
+    ("catalog", "--type", "A", "--rank", "2", "--json"),
+    ("catalog", "--type", "A", "--rank", "2.0"),
+    ("--js", "catalog", "--type", "A", "--rank", "2"),
+    ("catalog", "--type", "A", "--ra", "2"),
+], ids=["no-subcommand", "global-flag-alone", "unknown-subcommand",
+        "global-flag-after-subcommand", "float-rank", "global-flag-prefix",
+        "option-prefix"])
+def test_top_level_usage_errors(runner, args):
+    assert invoke(runner, *args).exit_code == 2
+
+
+def test_help_exits_0(runner):
+    result = invoke(runner, "--help")
+    assert result.exit_code == 0
+    assert "verify-lemmas" in result.output
+
+
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = pathlib.Path(microweight.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_module_entry_point_exit_statuses(tmp_path):
+    run = python("-m", "microweight.cli", "--json", "catalog", "--type", "E7",
+                 "--rank", "7")
+    assert run.returncode == 0
+    assert json.loads(run.stdout)[0]["dims"] == [56]
+    run = python("-m", "microweight.cli", "verify-e7", "--fixture",
+                 str(altered_fixture(tmp_path)))
+    assert run.returncode == 1
+    assert "02-halforbit-fixture" in run.stdout
+    run = python("-m", "microweight.cli", "catalog", "--type", "A", "--rank", "33")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "microweight: error: --rank 33 exceeds the maximum 32" in run.stderr
+
+
+def test_cli_imports_only_the_standard_library():
+    run = python("-c", "import sys; before = set(sys.modules); import microweight.cli; "
+                       "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert run.returncode == 0, run.stderr
+    imported = {name.partition(".")[0] for name in run.stdout.split()}
+    assert imported - set(sys.stdlib_module_names) == {"microweight"}

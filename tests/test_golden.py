@@ -10,12 +10,13 @@ a deliberate change of a report, never to make a refactor pass:
     PYTHONPATH=src python3 tests/test_golden.py --record
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from microweight.cli import main
 
@@ -49,8 +50,10 @@ CASES = _cases()
 def _run(args):
     """Exit code and stdout of one CLI invocation."""
     resolved = [a.replace("{inputs}", str(INPUTS)) for a in args]
-    result = CliRunner().invoke(main, resolved, catch_exceptions=False)
-    return result.exit_code, result.stdout
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(resolved)
+    return code, stdout.getvalue()
 
 
 def test_every_golden_file_is_a_case():
