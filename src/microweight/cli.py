@@ -31,27 +31,24 @@ class UsageError(Exception):
 
 
 def _load_config(path):
-    cfg = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                ln = raw.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {ln!r}")
-                key, _, value = map(str.strip, ln.partition("="))
-                if key not in CONFIG_KEYS:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r} "
-                                     f"(known keys: {', '.join(CONFIG_KEYS)})")
-                if not value:
-                    raise UsageError(
-                        f"{path}:{lineno}: config key {key!r} has an empty value")
-                cfg[key] = value
-    except OSError as exc:
+        text = serialize.read_text(path)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read config file: {path} is not UTF-8 ({exc})")
+    cfg = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if "=" not in ln:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {ln!r}")
+        key, _, value = map(str.strip, ln.partition("="))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r} "
+                             f"(known keys: {', '.join(CONFIG_KEYS)})")
+        if not value:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} has an empty value")
+        cfg[key] = value
     return cfg
 
 

@@ -191,15 +191,10 @@ def b_set(delta):
     return out
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violations: tuple
-
-
 def fiber_constancy_check(delta):
-    """Every line triple must project to a single point of the second
-    factor block.
+    """The line triples that do not project to a single point of the
+    second factor block, in sorted (d1, mid) order; an empty tuple means
+    every line triple is constant on the second block.
 
     Precondition: the second factor has no collinear triples (it is a
     cube-vertex set); violated preconditions are rejected with a witness.
@@ -211,12 +206,8 @@ def fiber_constancy_check(delta):
         if not ok2:
             raise StructureError(
                 f"second factor contains a collinear triple: {witness}")
-    violations = []
-    for d1, mid, d2 in midpoint_triples(delta.elements):
-        p = s.block2(mid)
-        if s.block2(d1) != p or s.block2(d2) != p:
-            violations.append((d1, mid, d2))
-    return Verdict(not violations, tuple(violations))
+    return tuple((d1, mid, d2) for d1, mid, d2 in midpoint_triples(delta.elements)
+                 if not s.block2(d1) == s.block2(mid) == s.block2(d2))
 
 
 def _fibers(delta):

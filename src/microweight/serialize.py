@@ -31,7 +31,19 @@ def weight_rows_from_text(text, rank):
             rows.append(vec(Fraction(t) for t in toks))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise ValueError(f"line {lineno}: zero denominator in {ln!r}") from exc
     return rows
+
+
+def read_text(path):
+    """The text of a UTF-8 file; bytes that do not decode raise a
+    ValueError that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 ({exc})") from exc
 
 
 EIGENSET_KEYS = ("delta1", "delta2", "structure")
@@ -74,14 +86,14 @@ def eigenset_from_json(obj):
 
 
 def eigenset_from_path(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
-                             f"column {exc.colno}") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path}: JSON nested too deeply") from exc
+    text = read_text(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     return eigenset_from_json(obj)
 
 

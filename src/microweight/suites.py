@@ -110,8 +110,7 @@ def verify_e7_suite(fixture_path=None):
     if fixture_path is None:
         text = default_fixture_path().read_text(encoding="utf-8")
     else:
-        with open(fixture_path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = serialize.read_text(fixture_path)
     rows = serialize.weight_rows_from_text(text, 7)
 
     def fixture_check():
@@ -230,8 +229,8 @@ def fiber_constancy_suite():
                                       _cube_factor_family()):
         def check(a=f1, b=f2):
             delta = frobmodel.build_delta(a, b)
-            verdict = frobmodel.fiber_constancy_check(delta)
-            return verdict.ok, [list(map(list, v)) for v in verdict.violations] or None
+            violations = frobmodel.fiber_constancy_check(delta)
+            return not violations, [list(map(list, v)) for v in violations] or None
 
         _timed(report, f"fiber-{n1}-x-{n2}",
                f"line triples of {n1} x {n2} project to single second-block points",

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import islice
 from typing import NamedTuple
 
@@ -171,7 +170,8 @@ FAMILY_FAULTS = [
     ("cube-", ("--json", "verify-lemmas", "--suite", "2.7"), "affgeom", "no_three_collinear",
      lambda f: lambda cfg: (False, cfg.int_points[:3])),
     ("fiber-", ("--json", "verify-lemmas", "--suite", "2.8"), "frobmodel",
-     "fiber_constancy_check", lambda f: lambda delta: replace(f(delta), ok=False)),
+     "fiber_constancy_check",
+     lambda f: lambda delta: f(delta) + (next(microweight.line_set(delta)),)),
 ]
 
 
@@ -198,6 +198,15 @@ def test_verify_e7_malformed_fixture(runner, tmp_path):
     result = invoke(runner, "verify-e7", "--fixture", str(bad))
     assert result.exit_code == 2
     assert "line 1" in result.output
+    # a zero denominator is an input error, not a ZeroDivisionError
+    bad.write_text("# E7\n1/0 0 0 0 0 0 0\n", encoding="utf-8")
+    result = invoke(runner, "verify-e7", "--fixture", str(bad))
+    assert result.exit_code == 2
+    assert "fixture error: line 2: zero denominator in '1/0 0 0 0 0 0 0'" in result.output
+    bad.write_bytes(b"\xff0 0 0 0 0 0 0\n")
+    result = invoke(runner, "verify-e7", "--fixture", str(bad))
+    assert result.exit_code == 2
+    assert f"fixture error: {bad} is not UTF-8" in result.output
 
 
 def test_fixture_dir_env_override(runner, tmp_path):
@@ -440,6 +449,10 @@ def test_frobmodel_input_errors(runner, tmp_path):
     result = invoke(runner, "frobmodel", "--input", str(tmp_path / "nope.json"),
                     "--op", "b-set")
     assert result.exit_code == 2
+    bad.write_bytes(b"\xff{}")
+    result = invoke(runner, "frobmodel", "--input", str(bad), "--op", "b-set")
+    assert result.exit_code == 2
+    assert f"input error: {bad} is not UTF-8" in result.output
 
 
 def test_frobmodel_rejects_deeply_nested_json(runner, tmp_path):
