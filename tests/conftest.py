@@ -50,8 +50,10 @@ def random_affine_map(rnd, n):
     """Injective rational affine map: unimodular core with random nonzero
     rational row scalings, plus a rational translation."""
     core = random_unimodular(rnd, n)
-    rows = [tuple(random_rational(rnd, nonzero=True) * a for a in row)
-            for row in core]
+    # one scalar per row: an independent scalar per entry can make the
+    # map singular
+    scales = [random_rational(rnd, nonzero=True) for _ in core]
+    rows = [tuple(s * a for a in row) for s, row in zip(scales, core)]
     shift = vec(random_rational(rnd) for _ in range(n))
     return rows, shift
 
