@@ -25,12 +25,19 @@ from .affgeom import (Configuration, detect_e7_config, midpoint_triples,
 from .linalg import pack_points, sub
 
 
-# The largest product build_delta accepts.  At 1024 points each CLI
-# operation takes at most 4.6 s and 90 MB peak RSS (Python 3.11, shared
-# 2-core x86-64 host): the slowest is b-set on a 1024-point progression,
-# the largest level-sets on a product whose 525k pairwise sums are all
-# distinct.  The pair loops grow as the square of the product size.
+# The largest product, total dimension and coordinate bit length that
+# build_delta accepts.  The pair loops grow as the square of the product
+# size, and each pairwise sum is one packed int of about dimension x bits.
+# At all three limits each CLI operation took at most 4.5 s and 260 MB
+# peak RSS (three fresh processes per operation, Python 3.11, shared
+# 2-core x86-64 host): the slowest is b-set on a 1024-point progression
+# (4.4-4.5 s, 21 MB), the largest level-sets on a 32 x 32 product whose
+# 525k pairwise sums are all distinct (4.1-4.2 s, 259 MB).  The limits
+# accept the E7 weight system times a cube (dimension 11) and the
+# 67-bit coordinates of the pair-kernel tests.
 MAX_PRODUCT_SIZE = 1024
+MAX_TOTAL_DIM = 12
+MAX_COORD_BITS = 72
 
 
 class StructureError(ValueError):
@@ -74,25 +81,30 @@ class EigenSet:
         return tuple(p) in self.elements
 
 
-def _lattice_entry(x):
-    """An integer coordinate; bools, floats and non-integral values are
-    rejected instead of coerced."""
+def _lattice_entry(x, bits=MAX_COORD_BITS):
+    """An integer coordinate of at most ``bits`` bits; bools, floats and
+    non-integral values are rejected instead of coerced."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
         raise ValueError(f"lattice coordinate {x!r} is not an integer")
-    return int(x)
+    x = int(x)
+    if x.bit_length() > bits:
+        raise StructureError(f"lattice coordinate {x} has more than {bits} bits")
+    return x
 
 
-def _lattice_point(p):
-    """A point as a tuple of integer coordinates; a point that is not a
-    list or tuple is rejected."""
+def _lattice_point(p, bits=MAX_COORD_BITS):
+    """A point as a tuple of integer coordinates of at most ``bits`` bits;
+    a point that is not a list or tuple is rejected."""
     if not isinstance(p, (list, tuple)):
         raise ValueError(f"lattice point {p!r} is not a list of coordinates")
-    return tuple(map(_lattice_entry, p))
+    return tuple([_lattice_entry(x, bits) for x in p])
 
 
 def build_delta(d1_points, d2_points):
     """Product set with scalar exponent 1 on every element; a product of
-    more than MAX_PRODUCT_SIZE points is rejected before it is built."""
+    more than MAX_PRODUCT_SIZE points, of a total dimension above
+    MAX_TOTAL_DIM or with a coordinate of more than MAX_COORD_BITS bits is
+    rejected before it is built."""
     d1_points = frozenset(map(_lattice_point, d1_points))
     d2_points = frozenset(map(_lattice_point, d2_points))
     if not d1_points or not d2_points:
@@ -107,6 +119,9 @@ def build_delta(d1_points, d2_points):
     if any(len(p) != d1 for p in d1_points) or any(len(p) != d2 for p in d2_points):
         raise StructureError("factor points have inconsistent dimensions")
     structure = BlockStructure(d1, d2)
+    if structure.total_dim > MAX_TOTAL_DIM:
+        raise StructureError(f"total dimension {structure.total_dim} exceeds "
+                             f"the limit of {MAX_TOTAL_DIM}")
     elements = frozenset((1,) + a + b for a, b in product(d1_points, d2_points))
     return EigenSet(structure, elements, d1_points, d2_points)
 
@@ -119,7 +134,8 @@ def inverse_closed(points):
 
 def t_eta_count(delta, eta):
     """Number of elements d for which eta - d is again an element."""
-    eta = _lattice_point(eta)
+    # a pairwise sum has one bit more than its summands
+    eta = _lattice_point(eta, MAX_COORD_BITS + 1)
     if len(eta) != delta.structure.total_dim:
         raise StructureError("eta does not match the lattice dimension")
     return sum(sub(eta, d) in delta.elements for d in delta.elements)

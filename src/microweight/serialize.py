@@ -2,6 +2,7 @@
 eigenset JSON and the catalog JSON."""
 
 import json
+import re
 from fractions import Fraction
 
 from .frobmodel import build_delta
@@ -16,9 +17,16 @@ def rat_to_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+# the entry forms of the packaged fixture and of rat_to_str: an integer or
+# p/q, optionally signed.  Fraction alone also reads decimals and
+# exponents, and expanding the 10-byte entry 1e99999999 did not finish in
+# 20 s.
+FIXTURE_ENTRY = r"[+-]?[0-9]+(?:/[0-9]+)?"
+
+
 def weight_rows_from_text(text, rank):
     """Parse a weight-list fixture: one weight per line in simple-root
-    coordinates, '#' comments allowed."""
+    coordinates, each entry an integer or p/q, '#' comments allowed."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ln = raw.strip()
@@ -27,6 +35,9 @@ def weight_rows_from_text(text, rank):
         toks = ln.split()
         if len(toks) != rank:
             raise ValueError(f"line {lineno}: expected {rank} entries, got {len(toks)}")
+        bad = next((t for t in toks if not re.fullmatch(FIXTURE_ENTRY, t)), None)
+        if bad is not None:
+            raise ValueError(f"line {lineno}: entry {bad!r} is not an integer or p/q")
         try:
             rows.append(vec(Fraction(t) for t in toks))
         except ValueError as exc:

@@ -207,6 +207,14 @@ def test_verify_e7_malformed_fixture(runner, tmp_path):
     result = invoke(runner, "verify-e7", "--fixture", str(bad))
     assert result.exit_code == 2
     assert f"fixture error: {bad} is not UTF-8" in result.output
+    # an entry is an integer or p/q, never a decimal or an exponent, which
+    # Fraction would read (1e99999999 does not finish expanding)
+    for entry in ("1e9999", "0.5"):
+        bad.write_text(f"{entry} 0 0 0 0 0 0\n", encoding="utf-8")
+        result = invoke(runner, "verify-e7", "--fixture", str(bad))
+        assert result.exit_code == 2
+        assert (f"fixture error: line 1: entry '{entry}' is not an integer or p/q"
+                in result.output)
 
 
 def test_fixture_dir_env_override(runner, tmp_path):
@@ -439,6 +447,38 @@ def test_frobmodel_rejects_a_product_over_the_size_limit(runner, tmp_path):
     path = write_delta(tmp_path, line[:32], line[:32], name="at-limit.json")
     result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "lambda-sq")
     assert result.exit_code == 1
+
+
+def test_frobmodel_rejects_a_dimension_over_the_limit(runner, tmp_path):
+    from microweight.frobmodel import MAX_TOTAL_DIM
+
+    assert MAX_TOTAL_DIM == 12
+    # total dimension 1 + 6 + 5 is at the limit and runs
+    path = write_delta(tmp_path, [(1,) * 6, (-1,) * 6], [(1,) * 5, (-1,) * 5])
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "lambda-sq")
+    assert result.exit_code == 0
+    path = write_delta(tmp_path, [(1,) * 6, (-1,) * 6], [(1,) * 6, (-1,) * 6])
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "lambda-sq")
+    assert result.exit_code == 2
+    assert "input error: total dimension 13 exceeds the limit of 12" in result.output
+
+
+def test_frobmodel_rejects_a_coordinate_over_the_bit_limit(runner, tmp_path):
+    from microweight.frobmodel import MAX_COORD_BITS
+
+    assert MAX_COORD_BITS == 72
+    # 72-bit coordinates run, and so does the level-sets recount of their
+    # 73-bit pairwise sums
+    top = 2 ** 72 - 1
+    path = write_delta(tmp_path, [(top,), (-top,)], [(top, 0), (-top, 0)])
+    for op in ("lambda-sq", "level-sets"):
+        result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", op)
+        assert result.exit_code == 0
+    path = write_delta(tmp_path, [(1,), (-1,)], [(top + 1, 0), (-top - 1, 0)])
+    result = invoke(runner, "--json", "frobmodel", "--input", path, "--op", "lambda-sq")
+    assert result.exit_code == 2
+    assert (f"input error: lattice coordinate {top + 1} has more than 72 bits"
+            in result.output)
 
 
 def test_frobmodel_input_errors(runner, tmp_path):

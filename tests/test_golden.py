@@ -8,20 +8,28 @@ The files pin the reports of a known-good commit.  Re-record them only for
 a deliberate change of a report, never to make a refactor pass:
 
     PYTHONPATH=src python3 tests/test_golden.py --record
+
+``tools/replay_goldens.py`` replays the same records outside the test
+process, through any command line: an installed ``microweight`` script
+or ``python -m microweight.cli`` under any interpreter.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import runpy
+import shutil
 import sys
 
 import pytest
 
+import microweight
 from microweight.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+REPLAY = GOLDEN.parents[1] / "tools" / "replay_goldens.py"
 EIGENSETS = ("pm1-square", "line013-square", "twolines-cube3")
 OPS = ("lambda-sq", "level-sets", "line-set", "b-set")
 
@@ -67,6 +75,26 @@ def test_golden(name):
     code, stdout = _run(record["args"])
     assert code == record["exit_code"]
     assert stdout == record["stdout"]
+
+
+def test_replay_tool_names_only_the_record_that_differs(tmp_path, monkeypatch, capsys):
+    replay = runpy.run_path(str(REPLAY))["replay"]
+    src = pathlib.Path(microweight.__file__).resolve().parents[1]
+    monkeypatch.setenv("PYTHONPATH", str(src))
+    command = [sys.executable, "-m", "microweight.cli"]
+    # a directory without records is a failure, never a vacuous pass
+    assert replay(command, tmp_path) == 1
+    assert capsys.readouterr().out == f"no golden records in {tmp_path}\n"
+    shutil.copytree(INPUTS, tmp_path / "inputs")
+    for name in ("catalog-B4", "frobmodel-pm1-square-b-set"):
+        shutil.copy(GOLDEN / f"{name}.json", tmp_path)
+    assert replay(command, tmp_path) == 0
+    assert capsys.readouterr().out == ""
+    record = json.loads((GOLDEN / "catalog-C6.json").read_text(encoding="utf-8"))
+    record["stdout"] = record["stdout"].replace("w1", "w2")
+    (tmp_path / "catalog-C6.json").write_text(json.dumps(record), encoding="utf-8")
+    assert replay(command, tmp_path) == 1
+    assert capsys.readouterr().out == "catalog-C6: exit 0 (recorded 0), stdout differs\n"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
